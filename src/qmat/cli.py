@@ -243,9 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_terms is not None:
-        set_max_terms(args.max_terms)
     try:
+        if args.max_terms is not None:
+            try:
+                set_max_terms(args.max_terms)
+            except ValueError as exc:
+                raise ParseError(f"--max-terms: {exc}") from exc
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

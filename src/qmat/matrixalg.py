@@ -25,7 +25,6 @@ from .limits import check_terms
 from .rational import RF_ONE, RationalFunction
 from .torus import ExponentVector, zero_exponents, unit_exponent
 
-_Q_INV = RationalFunction.q_power(-1)
 _MINUS_QDIFF = -(RationalFunction.q_power(1) - RationalFunction.q_power(-1))
 
 
@@ -69,7 +68,7 @@ def normalize_word(ctx: AlgebraContext, word) -> dict[ExponentVector, RationalFu
         i, a = divmod(v, n)
         swapped = w[:k] + (v, u) + w[k + 2 :]
         if j == i or b == a:
-            _accumulate(pending, swapped, c * _Q_INV)
+            _accumulate(pending, swapped, c.times_q_power(-1))
         elif a > b:
             _accumulate(pending, swapped, c)
         else:
@@ -287,5 +286,5 @@ def sigma_automorphism(x: MatrixAlgebraElement) -> MatrixAlgebraElement:
             if e:
                 i, a = ctx.gen_at(k)
                 w += 2 * e * (n + 1 - i - a)
-        out.terms[exp] = coeff * RationalFunction.q_power(w)
+        out.terms[exp] = coeff.times_q_power(w)
     return out

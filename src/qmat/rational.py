@@ -130,8 +130,16 @@ _P_ONE = (1,)
 
 
 def _is_q_power(a) -> bool:
-    """True when a is c*q^k (exactly one nonzero coefficient)."""
-    return bool(a) and all(c == 0 for c in a[:-1])
+    """True when the nonzero polynomial a is c*q^k."""
+    return not any(a[:-1])
+
+
+def _order(a) -> int:
+    """Largest k with q^k dividing the nonzero polynomial a."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +159,14 @@ class RationalFunction:
             den = _P_ONE
         elif not _reduced:
             if den != _P_ONE:
-                if _is_q_power(num) and _is_q_power(den):
-                    # c*q^a / d*q^b: reduce by gcd(c, d) * q^min(a, b)
-                    k = min(len(num), len(den)) - 1
-                    g = _int_gcd(num[-1], den[-1])
-                    num = (0,) * (len(num) - 1 - k) + (num[-1] // g,)
-                    den = (0,) * (len(den) - 1 - k) + (den[-1] // g,)
+                if _is_q_power(den) or _is_q_power(num):
+                    # One side is c*q^k, so the gcd in Z[q] is the gcd of
+                    # all coefficients times q^min(ord num, ord den).
+                    k = min(_order(num), _order(den))
+                    g = _int_gcd(*num, *den)
+                    if k or g != 1:
+                        num = tuple(c // g for c in num[k:])
+                        den = tuple(c // g for c in den[k:])
                 else:
                     g = _pgcd(num, den)
                     if g != _P_ONE:
@@ -225,6 +235,23 @@ class RationalFunction:
         return RationalFunction(
             _pmul(self.num, other.num), _pmul(self.den, other.den)
         )
+
+    def times_q_power(self, e: int) -> "RationalFunction":
+        """This element times q^e.
+
+        num/den is reduced, so only common powers of q can cancel in
+        num*q^e/den: the product is a shift and needs no gcd.
+        """
+        num, den = self.num, self.den
+        if not e or not num:
+            return self
+        if e > 0:
+            k = min(e, _order(den))
+            num, den = (0,) * (e - k) + num, den[k:]
+        else:
+            k = min(-e, _order(num))
+            num, den = num[k:], (0,) * (-e - k) + den
+        return RationalFunction(num, den, _reduced=True)
 
     def inv(self) -> "RationalFunction":
         if not self.num:

@@ -21,6 +21,11 @@ def _require(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _is_int(v) -> bool:
+    """JSON integer; bool is an int subclass, but true/false are not integers."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def rf_to_json(rf: RationalFunction) -> dict:
     return rf.to_json()
 
@@ -32,11 +37,11 @@ def rf_from_json(data) -> RationalFunction:
     )
     num, den = data["num"], data["den"]
     _require(
-        isinstance(num, list) and all(isinstance(c, int) for c in num),
+        isinstance(num, list) and all(_is_int(c) for c in num),
         "num must be a list of integers",
     )
     _require(
-        isinstance(den, list) and all(isinstance(c, int) for c in den),
+        isinstance(den, list) and all(_is_int(c) for c in den),
         "den must be a list of integers",
     )
     _require(any(den), "den must be nonzero")
@@ -59,7 +64,7 @@ def _exp_from_triples(ctx: AlgebraContext, data) -> tuple:
         _require(
             isinstance(triple, list)
             and len(triple) == 3
-            and all(isinstance(v, int) for v in triple),
+            and all(_is_int(v) for v in triple),
             "exp entries must be integer triples [i, a, e]",
         )
         i, a, e = triple
@@ -87,7 +92,7 @@ def element_to_json(x) -> dict:
 
 def element_from_json(data, alg: str | None = None, n: int | None = None):
     _require(isinstance(data, dict), "element must be an object")
-    _require("n" in data and isinstance(data["n"], int), "element needs integer n")
+    _require("n" in data and _is_int(data["n"]), "element needs integer n")
     if n is not None and data["n"] != n:
         raise DimensionMismatchError(
             f"element has n = {data['n']}, expected {n}"
@@ -130,6 +135,7 @@ def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
     _require(alg in ("Mq", "torus"), "spec needs alg Mq or torus")
     _require(isinstance(data.get("images"), list), "spec needs an images list")
     dim = data.get("n")
+    _require(dim is None or _is_int(dim), "spec n must be an integer")
     images = {}
     for entry in data["images"]:
         _require(isinstance(entry, dict), "image entries must be objects")
@@ -137,7 +143,7 @@ def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
         _require(
             isinstance(gen, list)
             and len(gen) == 2
-            and all(isinstance(v, int) for v in gen),
+            and all(_is_int(v) for v in gen),
             "image gen must be a pair [i, a]",
         )
         value = element_from_json(entry["value"], alg=alg, n=n)
@@ -163,7 +169,7 @@ def det_poly_from_json(data) -> DetPolynomial:
     out: DetPolynomial = {}
     for pair in data:
         _require(
-            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int),
+            isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0]),
             "weight entries must be [power, coefficient] pairs",
         )
         coeff = rf_from_json(pair[1])

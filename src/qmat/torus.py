@@ -14,6 +14,8 @@ of T^g).
 
 from __future__ import annotations
 
+from operator import add
+
 from .context import AlgebraContext, GeneratorIndex
 from .errors import (
     IndexOutOfRangeError,
@@ -35,10 +37,6 @@ def unit_exponent(ctx: AlgebraContext, gen: GeneratorIndex) -> ExponentVector:
     k = ctx.flat(*gen)
     nn = ctx.n * ctx.n
     return (0,) * k + (1,) + (0,) * (nn - k - 1)
-
-
-def add_exponents(g: ExponentVector, d: ExponentVector) -> ExponentVector:
-    return tuple(a + b for a, b in zip(g, d))
 
 
 def commutation_exponent(
@@ -147,15 +145,28 @@ class TorusElement:
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         ctx = self.ctx
-        q_power = RationalFunction.q_power
+        B = ctx.B
+        nn = len(B)
+        # e(g, d) = w . d with w = g^T L, L the strictly lower part of B;
+        # w is built once per left term and the dot runs over d's support.
+        right = [
+            (d, cd, [(a, da) for a, da in enumerate(d) if da])
+            for d, cd in other.terms.items()
+        ]
         out: dict[ExponentVector, RationalFunction] = {}
         for g, cg in self.terms.items():
-            for d, cd in other.terms.items():
-                e = commutation_exponent(ctx, g, d)
+            w = [0] * nn
+            for b, gb in enumerate(g):
+                if gb:
+                    row = B[b]
+                    for a in range(b):
+                        w[a] += gb * row[a]
+            for d, cd, support in right:
                 coeff = cg * cd
+                e = sum([w[a] * da for a, da in support])
                 if e:
-                    coeff = coeff * q_power(e)
-                exp = add_exponents(g, d)
+                    coeff = coeff.times_q_power(e)
+                exp = tuple(map(add, g, d))
                 acc = out.get(exp)
                 s = coeff if acc is None else acc + coeff
                 if s:
@@ -176,7 +187,7 @@ class TorusElement:
         (exp, coeff), = self.terms.items()
         inv_exp = tuple(-e for e in exp)
         e = commutation_exponent(self.ctx, exp, inv_exp)
-        inv_coeff = coeff.inv() * RationalFunction.q_power(-e)
+        inv_coeff = coeff.inv().times_q_power(-e)
         return TorusElement.monomial(self.ctx, inv_exp, inv_coeff)
 
     def commutes_with_all_generators(self) -> bool:

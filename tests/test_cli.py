@@ -1,4 +1,5 @@
 import json
+from importlib.resources import files
 
 import jsonschema
 import pytest
@@ -10,7 +11,7 @@ from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.serialize import derivation_to_json, element_to_json
 from qmat.torus import TorusElement
 
-SCHEMA_PATH = "src/qmat/schemas/report.schema.json"
+SCHEMA_FILE = files("qmat") / "schemas" / "report.schema.json"
 
 
 def write_json(tmp_path, name, data):
@@ -124,6 +125,22 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "embed", str(path))
         assert code == 2
 
+    def test_boolean_exponent_is_parse_error(self, tmp_path, capsys):
+        data = {
+            "n": 2,
+            "alg": "Mq",
+            "terms": [{"exp": [[1, 1, True]], "coeff": {"num": [1], "den": [1]}}],
+        }
+        code, out = run_cli(capsys, "embed", write_json(tmp_path, "b.json", data))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_max_terms_is_parse_error(self, capsys, value):
+        code = main(["--max-terms", value, "det", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         ctx2, ctx3 = build_context(2), build_context(3)
         lhs = write_json(tmp_path, "l.json", element_to_json(qdet(ctx2)))
@@ -181,8 +198,7 @@ class TestVerifySuite:
         code, out = run_cli(capsys, "verify-suite", "--n", "2", "--canonical")
         assert code == 0
         report = json.loads(out)
-        with open(SCHEMA_PATH) as fh:
-            schema = json.load(fh)
+        schema = json.loads(SCHEMA_FILE.read_text())
         jsonschema.validate(report, schema)
         assert report["all_pass"] is True
         assert len(report["checks"]) >= 25

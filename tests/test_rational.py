@@ -1,4 +1,5 @@
 import fractions
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,9 @@ from qmat.rational import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
+    _pdiv_exact,
+    _pgcd,
+    _trim,
     q_power_minus,
 )
 
@@ -24,6 +28,18 @@ def rationals():
 
     nonzero = polys().filter(lambda p: any(p))
     return st.builds(build, polys(), nonzero)
+
+
+def shifted_rationals():
+    """Quotients whose reduced numerator or denominator often has a power of
+    q as a factor, which plain random polynomials rarely give."""
+    shifts = st.integers(min_value=0, max_value=3)
+
+    def build(num, den, i, j):
+        return RationalFunction((0,) * i + num, (0,) * j + den)
+
+    nonzero = polys().filter(lambda p: any(p))
+    return st.builds(build, polys(), nonzero, shifts, shifts)
 
 
 class TestCanonicalForm:
@@ -118,6 +134,82 @@ class TestFieldAxioms:
         )
         assert scaled == a
         assert hash(scaled) == hash(a)
+
+
+def q_powers():
+    """c*q^k with c nonzero."""
+    return st.builds(
+        lambda c, k: (0,) * k + (c,),
+        small_ints.filter(bool),
+        st.integers(min_value=0, max_value=5),
+    )
+
+
+def _reduce_by_pgcd(num, den):
+    """The general reduction: divide by the primitive-PRS gcd, then fix the
+    sign of the denominator."""
+    num, den = _trim(num), _trim(den)
+    if not num:
+        return (), (1,)
+    g = _pgcd(num, den)
+    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    if den[-1] < 0:
+        num, den = tuple(-c for c in num), tuple(-c for c in den)
+    return num, den
+
+
+class TestLaurentFastPath:
+    """The gcd-free reductions against the general path they bypass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys(), q_powers())
+    def test_q_power_denominator_matches_pgcd(self, num, den):
+        rf = RationalFunction(num, den)
+        assert (rf.num, rf.den) == _reduce_by_pgcd(num, den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q_powers(), polys().filter(any))
+    def test_q_power_numerator_matches_pgcd(self, num, den):
+        rf = RationalFunction(num, den)
+        assert (rf.num, rf.den) == _reduce_by_pgcd(num, den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shifted_rationals(), st.integers(min_value=-6, max_value=6))
+    def test_times_q_power_matches_product(self, x, e):
+        assert x.times_q_power(e) == x * RationalFunction.q_power(e)
+
+
+class TestSympyOracle:
+    """Sampled cross-check of the canonical form against sympy.cancel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shifted_rationals(), rationals(), st.integers(min_value=-4, max_value=4)
+    )
+    def test_matches_sympy_cancel(self, a, b, e):
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+
+        def expr(p):
+            return sum(c * q**k for k, c in enumerate(p))
+
+        def value(x):
+            return expr(x.num) / expr(x.den)
+
+        def monic_form(num, den):
+            pn, pd = sympy.Poly(num, q, domain="QQ"), sympy.Poly(den, q, domain="QQ")
+            lc = pd.LC()
+            return (pn * (1 / lc)).all_coeffs(), (pd * (1 / lc)).all_coeffs()
+
+        for ours, exact in (
+            (a + b, value(a) + value(b)),
+            (a * b, value(a) * value(b)),
+            (a.times_q_power(e), value(a) * q**e),
+        ):
+            sn, sd = sympy.fraction(sympy.cancel(exact))
+            assert monic_form(expr(ours.num), expr(ours.den)) == monic_form(sn, sd)
+            # primitive over Z as well as reduced over Q
+            assert math.gcd(*ours.num, *ours.den) == 1
 
 
 class TestEvaluationOracle:

@@ -76,6 +76,23 @@ class TestElements:
             with pytest.raises(ParseError):
                 element_from_json(bad)
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"exp": [[1, 1, True]], "coeff": {"num": [1], "den": [1]}},
+            {"exp": [[True, 1, 1]], "coeff": {"num": [1], "den": [1]}},
+            {"exp": [], "coeff": {"num": [1], "den": [True]}},
+            {"exp": [], "coeff": {"num": [False, 1], "den": [1]}},
+        ],
+    )
+    def test_booleans_are_not_integers(self, term):
+        with pytest.raises(ParseError):
+            element_from_json({"n": 2, "alg": "Mq", "terms": [term]})
+
+    def test_boolean_dimension_rejected(self):
+        with pytest.raises(ParseError):
+            element_from_json({"n": True, "terms": []})
+
     def test_rf_validation(self):
         with pytest.raises(ParseError):
             rf_from_json({"num": [1]})
@@ -110,6 +127,17 @@ class TestDerivations:
         with pytest.raises(ParseError):
             derivation_from_json({"alg": "nope", "images": []})
 
+    def test_boolean_gen_and_dimension_rejected(self):
+        ctx = build_context(2)
+        data = derivation_to_json(basis_derivation(ctx, 1))
+        data["images"][0]["gen"] = [True, 1]
+        with pytest.raises(ParseError):
+            derivation_from_json(data)
+        data = derivation_to_json(basis_derivation(ctx, 1))
+        data["n"] = True
+        with pytest.raises(ParseError):
+            derivation_from_json(data)
+
 
 class TestHH1:
     def test_shape(self):
@@ -121,6 +149,10 @@ class TestHH1:
         assert data["mu"][0] == [[0, {"num": [1], "den": [1]}]]
         assert data["mu"][1] == [] and data["mu"][2] == []
         assert data["inner"]["terms"] == []
+
+    def test_det_poly_boolean_power_rejected(self):
+        with pytest.raises(ParseError):
+            det_poly_from_json([[True, {"num": [1], "den": [1]}]])
 
     def test_det_poly_round_trip(self):
         p = {0: RationalFunction.q_power(1), 2: RationalFunction.from_int(-3)}

@@ -1,4 +1,5 @@
 import json
+from importlib.resources import files
 
 import jsonschema
 import pytest
@@ -34,8 +35,8 @@ class TestSuite:
 
     def test_report_validates_against_schema(self):
         report = run_suite(2, canonical=True).to_json()
-        with open("src/qmat/schemas/report.schema.json") as fh:
-            schema = json.load(fh)
+        schema_file = files("qmat") / "schemas" / "report.schema.json"
+        schema = json.loads(schema_file.read_text())
         jsonschema.validate(report, schema)
 
     def test_check_ids_unique_and_sorted_in_json(self):

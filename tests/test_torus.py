@@ -72,6 +72,32 @@ class TestCommutation:
         tc = TorusElement.monomial(ctx, c)
         assert (ta * tb) * tc == ta * (tb * tc)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(exponent_vectors(3, 2), min_size=1, max_size=4),
+        st.lists(exponent_vectors(3, 2), min_size=1, max_size=4),
+    )
+    def test_product_matches_termwise_exponents(self, gs, ds):
+        # the product against the pairwise rule T^g T^d = q^e(g,d) T^(g+d)
+        ctx = build_context(3)
+
+        def element(exps):
+            x = TorusElement(ctx)
+            for k, exp in enumerate(exps):
+                coeff = RationalFunction((k + 1, 1), (0,) * k + (2,))
+                x = x + TorusElement.monomial(ctx, exp, coeff)
+            return x
+
+        x, y = element(gs), element(ds)
+        expected = TorusElement(ctx)
+        for g, cg in x.terms.items():
+            for d, cd in y.terms.items():
+                e = commutation_exponent(ctx, g, d)
+                exp = tuple(a + b for a, b in zip(g, d))
+                coeff = cg * cd * RationalFunction.q_power(e)
+                expected = expected + TorusElement.monomial(ctx, exp, coeff)
+        assert x * y == expected
+
 
 class TestInversion:
     def test_monomial_inverse(self):
