@@ -9,8 +9,6 @@ the deleting-derivations process: T_k T_l = q^{B[k][l]} T_l T_k.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IndexOutOfRangeError, InvalidDimensionError
@@ -33,10 +31,30 @@ def _b_entry(n: int, k: int, l: int) -> int:
     return s if a == b else 0
 
 
-class AlgebraContext:
-    """Dimension n, the commutation matrix B and the tower step list E."""
+def _relation(n: int, B, u: int, v: int):
+    """Defining relation of the out-of-order pair at flat positions u > v.
 
-    __slots__ = ("n", "B", "E", "generators", "_step_pos")
+    With u = (j, b) and v = (i, a), Y_u Y_v = q^e Y_v Y_u + cross term, where
+    e = B[u][v] and the cross term -(q - q^{-1}) Y(i,b) Y(j,a) is present
+    exactly when i < j and a < b.  Returns (e, cross pair of flat
+    positions or None).
+    """
+    j, b = divmod(u, n)
+    i, a = divmod(v, n)
+    cross = (i * n + b, j * n + a) if i < j and a < b else None
+    return B[u][v], cross
+
+
+class AlgebraContext:
+    """Dimension n, the commutation matrix B, the defining-relation table
+    and the tower step list E.
+
+    ``relations[u][v]`` (flat positions u > v) is the pair (e, cross) of
+    :func:`_relation`; in the torus the same pair commutes with q^e and no
+    cross term.
+    """
+
+    __slots__ = ("n", "B", "E", "generators", "relations", "_step_pos")
 
     def __init__(self, n: int):
         if n < 2:
@@ -48,6 +66,9 @@ class AlgebraContext:
         )
         self.generators = tuple(
             (i, a) for i in range(1, n + 1) for a in range(1, n + 1)
+        )
+        self.relations = tuple(
+            tuple(_relation(n, self.B, u, v) for v in range(u)) for u in range(nn)
         )
         steps = [
             (j, b) for j in range(1, n + 1) for b in range(1, n + 1)
@@ -94,74 +115,3 @@ class AlgebraContext:
 @lru_cache(maxsize=None)
 def build_context(n: int) -> AlgebraContext:
     return AlgebraContext(n)
-
-
-def flat_of(ctx: AlgebraContext, gen: GeneratorIndex) -> int:
-    return ctx.flat(gen[0], gen[1])
-
-
-def rational_rank(rows) -> int:
-    """Rank over Q of an integer matrix given as a list of rows."""
-    mat = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [c * inv for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def integer_kernel_basis(rows) -> list[tuple[int, ...]]:
-    """Primitive integer vectors spanning the Q-kernel of an integer matrix."""
-    ncols = len(rows[0])
-    mat = [[Fraction(c) for c in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [c * inv for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        lcm = 1
-        for c in vec:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in vec]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
-        if g > 1:
-            ints = [c // g for c in ints]
-        basis.append(tuple(ints))
-    return basis

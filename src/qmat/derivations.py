@@ -19,26 +19,22 @@ from __future__ import annotations
 from .context import AlgebraContext, GeneratorIndex
 from .errors import (
     ConditionViolatedError,
+    DimensionMismatchError,
     InconsistentDecompositionError,
     IndexOutOfRangeError,
     NotADerivationError,
     NotInSpanError,
     NotPolynomialError,
 )
-from .linalg import solve_linear_system
-from .matrixalg import MatrixAlgebraElement, qdet
+from .linalg import solve_in_span
+from .matrixalg import QDIFF, MatrixAlgebraElement, qdet
 from .rational import RF_ONE, RF_ZERO, RationalFunction
 from .torus import (
     TorusElement,
     central_to_delta_basis,
     is_central_monomial,
 )
-from .tower import (
-    StepGeneratorTable,
-    _bidegree,
-    _margin_matrices,
-    embed,
-)
+from .tower import StepGeneratorTable, embed, natural_candidates
 
 
 class DerivationSpec:
@@ -65,8 +61,11 @@ class DerivationSpec:
         return cls.generator(self.ctx, gen)
 
     def __add__(self, other: "DerivationSpec") -> "DerivationSpec":
-        if self.alg != other.alg:
-            raise ValueError("cannot add specs over different algebras")
+        if self.alg != other.alg or self.ctx.n != other.ctx.n:
+            raise DimensionMismatchError(
+                f"cannot add a {self.alg} spec (n = {self.ctx.n}) and a"
+                f" {other.alg} spec (n = {other.ctx.n})"
+            )
         return DerivationSpec(
             self.ctx,
             self.alg,
@@ -145,43 +144,28 @@ def leibniz_extend(d: DerivationSpec, x):
 
 
 def check_derivation(d: DerivationSpec) -> list[dict]:
-    """Per-relation report: the images must respect every defining relation."""
-    ctx = d.ctx
-    report = []
-    if d.alg == "torus":
-        B = ctx.B
-        gens = ctx.generators
-        for ku, u in enumerate(gens):
-            for kv, v in enumerate(gens):
-                if ku <= kv:
-                    continue
-                g_u, g_v = d._gen(u), d._gen(v)
-                du, dv = d.images[u], d.images[v]
-                lhs = du * g_v + g_u * dv
-                rhs = (dv * g_u + g_v * du).scale(
-                    RationalFunction.q_power(B[ku][kv])
-                )
-                report.append({"pair": (u, v), "ok": (lhs - rhs).is_zero()})
-        return report
+    """Per-relation report: the images must respect every defining relation.
 
-    q_inv = RationalFunction.q_power(-1)
-    q_diff = RationalFunction.q_power(1) - RationalFunction.q_power(-1)
-    for u in ctx.generators:
-        for v in ctx.generators:
-            if u <= v:
-                continue
-            j, b = u
-            i, a = v
+    Torus generators q-commute with the same exponents as the algebra's
+    generators but carry no cross term.
+    """
+    gens = d.ctx.generators
+    report = []
+    for ku, row in enumerate(d.ctx.relations):
+        u = gens[ku]
+        for kv, (e, cross) in enumerate(row):
+            v = gens[kv]
             g_u, g_v = d._gen(u), d._gen(v)
             du, dv = d.images[u], d.images[v]
             lhs = du * g_v + g_u * dv
             rhs = dv * g_u + g_v * du
-            if i == j or a == b:
-                rhs = rhs.scale(q_inv)
-            elif a < b:
-                g_ib, g_ja = d._gen((i, b)), d._gen((j, a))
-                d_ib, d_ja = d.images[(i, b)], d.images[(j, a)]
-                rhs = rhs - (d_ib * g_ja + g_ib * d_ja).scale(q_diff)
+            if e:
+                rhs = rhs.scale(RationalFunction.q_power(e))
+            if cross and d.alg == "Mq":
+                ib, ja = (gens[k] for k in cross)
+                g_ib, g_ja = d._gen(ib), d._gen(ja)
+                d_ib, d_ja = d.images[ib], d.images[ja]
+                rhs = rhs - (d_ib * g_ja + g_ib * d_ja).scale(QDIFF)
             report.append({"pair": (u, v), "ok": (lhs - rhs).is_zero()})
     return report
 
@@ -281,7 +265,7 @@ def lift_to_torus(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpe
     """
     ctx = table.ctx
     if d.alg != "Mq":
-        raise ValueError("lift_to_torus expects a quantum-matrix spec")
+        raise DimensionMismatchError("lift_to_torus expects a quantum-matrix spec")
     bad = failing_relations(check_derivation(d))
     if bad:
         raise NotADerivationError(f"images violate relations at pairs {bad}")
@@ -347,7 +331,9 @@ def decompose_torus_derivation(d: DerivationSpec) -> TorusDecomposition:
     """
     ctx = d.ctx
     if d.alg != "torus":
-        raise ValueError("decompose_torus_derivation expects a torus spec")
+        raise DimensionMismatchError(
+            "decompose_torus_derivation expects a torus spec"
+        )
     z: dict[GeneratorIndex, TorusElement] = {}
     x_terms: dict = {}
     for fa, gen in enumerate(ctx.generators):
@@ -451,9 +437,6 @@ class HH1Coordinates:
         self.mu = mu
         self.det_shift = det_shift
 
-    def mu_is_zero(self, j: int) -> bool:
-        return not self.mu[j - 1]
-
 
 def mu_index_of_generator(n: int, i: int, a: int) -> int | None:
     """Dictionary row: which mu coordinate the weight z(i,a) determines."""
@@ -536,20 +519,7 @@ def _solve_inner_part(
     ctx = table.ctx
     if x_torus.is_zero():
         return MatrixAlgebraElement(ctx)
-    nn = ctx.n * ctx.n
-    caps = [margin] * nn
-    for exp in x_torus.terms:
-        for k, e in enumerate(exp):
-            if e > 0:
-                caps[k] = max(caps[k], e + margin)
-    targets = {_bidegree(ctx, exp) for exp in x_torus.terms}
-    candidates = []
-    for rows, cols in sorted(targets):
-        if any(v < 0 for v in rows + cols) or sum(rows) != sum(cols):
-            raise NotInSpanError(
-                "inner part carries degrees impossible in the algebra"
-            )
-        candidates.extend(_margin_matrices(ctx, rows, cols, caps))
+    candidates = natural_candidates(ctx, x_torus, margin)
     images = []
     for exp in candidates:
         img = embed(table, MatrixAlgebraElement.monomial(ctx, exp))
@@ -562,29 +532,12 @@ def _solve_inner_part(
             },
         )
         images.append(noncentral)
-    basis: dict = {}
-    for img in images:
-        for exp in img.terms:
-            basis.setdefault(exp, len(basis))
-    for exp in x_torus.terms:
-        basis.setdefault(exp, len(basis))
-    matrix = [[None] * len(candidates) for _ in range(len(basis))]
-    for c, img in enumerate(images):
-        for exp, coeff in img.terms.items():
-            matrix[basis[exp]][c] = coeff
-    rhs = [None] * len(basis)
-    for exp, coeff in x_torus.terms.items():
-        rhs[basis[exp]] = coeff
-    solution = solve_linear_system(matrix, rhs)
+    solution = solve_in_span(images, x_torus)
     if solution is None:
         raise NotInSpanError(
             "inner part does not rebase into the algebra within the box"
         )
-    out = MatrixAlgebraElement(ctx)
-    for exp, coeff in zip(candidates, solution):
-        if coeff:
-            out = out + MatrixAlgebraElement.monomial(ctx, exp, coeff)
-    return out
+    return MatrixAlgebraElement(ctx, dict(zip(candidates, solution)))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class NotPolynomialError(QmatError):
 
 
 class DimensionMismatchError(QmatError):
-    """Two operands live over different matrix sizes n."""
+    """Two operands live over different matrix sizes n or different algebras."""
 
 
 class ParseError(QmatError):

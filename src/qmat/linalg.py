@@ -1,14 +1,38 @@
-"""Exact dense linear algebra over the coefficient field Q(q).
+"""Exact dense linear algebra over Q and over the coefficient field Q(q).
 
-Matrices are lists of rows; entries are ``RationalFunction`` instances or
-``None`` for structural zeros.  Everything here is fraction-free only in
-spirit: the coefficient arithmetic itself is exact, so plain Gaussian
-elimination is sound.
+Matrices are lists of rows.  One Gauss-Jordan elimination serves both
+fields: it only tests entries for zero and uses -, * and /, which
+``Fraction`` and ``RationalFunction`` share.  The coefficient arithmetic
+is exact, so plain elimination is sound.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .rational import RF_ZERO, RationalFunction
+
+
+def _rref(rows: list[list]) -> list[int]:
+    """Bring the rows to reduced row echelon form in place; return the
+    pivot column of each nonzero row."""
+    pivots: list[int] = []
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][col]
+        prow = rows[rank] = [c / p for c in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        pivots.append(col)
+    return pivots
 
 
 def solve_linear_system(
@@ -17,66 +41,66 @@ def solve_linear_system(
 ) -> list[RationalFunction] | None:
     """One exact solution of matrix * x = rhs, or None if inconsistent.
 
-    Free variables, if any, are set to zero.
+    Entries may be ``None`` for structural zeros.  Free variables, if any,
+    are set to zero.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    cols = len(matrix[0]) if matrix else 0
     aug = [
         [c if c is not None else RF_ZERO for c in row]
         + [rhs[r] if rhs[r] is not None else RF_ZERO]
         for r, row in enumerate(matrix)
     ]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][col].inv()
-        aug[rank] = [c * inv for c in aug[rank]]
-        prow = aug[rank]
-        for r in range(rows):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
-        pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r][cols]:
-            return None
+    pivots = _rref(aug)
+    if pivots and pivots[-1] == cols:
+        return None
     solution = [RF_ZERO] * cols
-    for r, col in pivots:
+    for r, col in enumerate(pivots):
         solution[col] = aug[r][cols]
     return solution
 
 
-def rank_over_field(matrix: list[list[RationalFunction | None]]) -> int:
-    """Rank of a matrix with Q(q) entries."""
-    rows = [
-        [c if c is not None else RF_ZERO for c in row] for row in matrix
-    ]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+def solve_in_span(images, target) -> list[RationalFunction] | None:
+    """Coefficients c with target = sum_k c[k] * images[k], or None.
+
+    ``images`` and ``target`` are sparse elements of one algebra; each
+    monomial that occurs in any of them is one equation.
+    """
+    basis: dict = {}
+    for img in images:
+        for exp in img.terms:
+            basis.setdefault(exp, len(basis))
+    for exp in target.terms:
+        basis.setdefault(exp, len(basis))
+    matrix = [[None] * len(images) for _ in range(len(basis))]
+    for c, img in enumerate(images):
+        for exp, coeff in img.terms.items():
+            matrix[basis[exp]][c] = coeff
+    rhs = [None] * len(basis)
+    for exp, coeff in target.terms.items():
+        rhs[basis[exp]] = coeff
+    return solve_linear_system(matrix, rhs)
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of an integer matrix given as a list of rows."""
+    return len(_rref([[Fraction(c) for c in row] for row in rows]))
+
+
+def integer_kernel_basis(rows) -> list[tuple[int, ...]]:
+    """Primitive integer vectors spanning the Q-kernel of an integer matrix."""
+    ncols = len(rows[0])
+    mat = [[Fraction(c) for c in row] for row in rows]
+    pivots = _rref(mat)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [c * inv for c in rows[rank]]
-        prow = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-    return rank
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        lcm = math.lcm(*(c.denominator for c in vec))
+        ints = [int(c * lcm) for c in vec]
+        g = math.gcd(*ints)
+        basis.append(tuple(c // g for c in ints))
+    return basis

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .context import AlgebraContext, GeneratorIndex
+from .context import AlgebraContext
 from .errors import IndexOutOfRangeError
 from .limits import check_terms
 from .rational import RF_ONE, RationalFunction
-from .torus import ExponentVector, zero_exponents, unit_exponent
+from .sparse import ExponentVector, SparseElement
 
-_MINUS_QDIFF = -(RationalFunction.q_power(1) - RationalFunction.q_power(-1))
+# q - q^{-1}, the coefficient of the cross term in the defining relations
+QDIFF = RationalFunction.q_power(1) - RationalFunction.q_power(-1)
+_MINUS_QDIFF = -QDIFF
 
 
 def _word_of(exp: ExponentVector) -> tuple[int, ...]:
@@ -44,8 +46,8 @@ def _exp_of(nn: int, word) -> ExponentVector:
 
 def normalize_word(ctx: AlgebraContext, word) -> dict[ExponentVector, RationalFunction]:
     """Normal form of a generator word as {exponent vector: coefficient}."""
-    n = ctx.n
-    nn = n * n
+    nn = ctx.n * ctx.n
+    relations = ctx.relations
     pending: dict[tuple[int, ...], RationalFunction] = {tuple(word): RF_ONE}
     done: dict[ExponentVector, RationalFunction] = {}
 
@@ -64,98 +66,34 @@ def normalize_word(ctx: AlgebraContext, word) -> dict[ExponentVector, RationalFu
             _accumulate(done, _exp_of(nn, w), c)
             continue
         u, v = w[k], w[k + 1]
-        j, b = divmod(u, n)
-        i, a = divmod(v, n)
-        swapped = w[:k] + (v, u) + w[k + 2 :]
-        if j == i or b == a:
-            _accumulate(pending, swapped, c.times_q_power(-1))
-        elif a > b:
-            _accumulate(pending, swapped, c)
-        else:
-            _accumulate(pending, swapped, c)
-            cross = w[:k] + (i * n + b, j * n + a) + w[k + 2 :]
-            _accumulate(pending, cross, c * _MINUS_QDIFF)
+        e, cross = relations[u][v]
+        _accumulate(pending, w[:k] + (v, u) + w[k + 2 :], c.times_q_power(e))
+        if cross:
+            _accumulate(pending, w[:k] + cross + w[k + 2 :], c * _MINUS_QDIFF)
         check_terms(len(pending) + len(done), "straightening")
     return done
 
 
-class MatrixAlgebraElement:
+class MatrixAlgebraElement(SparseElement):
     """Finite sum of PBW monomials with Q(q) coefficients."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
-    def __init__(self, ctx: AlgebraContext, terms: dict | None = None):
-        self.ctx = ctx
-        self.terms: dict[ExponentVector, RationalFunction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    self.terms[exp] = coeff
+    LETTER = "Y"
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
+    @classmethod
     def monomial(
+        cls,
         ctx: AlgebraContext,
         exp: ExponentVector,
         coeff: RationalFunction = RF_ONE,
     ) -> "MatrixAlgebraElement":
         if any(e < 0 for e in exp):
             raise ValueError("quantum-matrix exponents must be natural numbers")
-        out = MatrixAlgebraElement(ctx)
-        if coeff:
-            out.terms[tuple(exp)] = coeff
-        return out
-
-    @staticmethod
-    def generator(ctx: AlgebraContext, gen: GeneratorIndex) -> "MatrixAlgebraElement":
-        return MatrixAlgebraElement.monomial(ctx, unit_exponent(ctx, gen))
-
-    @staticmethod
-    def one(ctx: AlgebraContext) -> "MatrixAlgebraElement":
-        return MatrixAlgebraElement.monomial(ctx, zero_exponents(ctx))
-
-    @staticmethod
-    def scalar(ctx: AlgebraContext, coeff: RationalFunction) -> "MatrixAlgebraElement":
-        return MatrixAlgebraElement.monomial(ctx, zero_exponents(ctx), coeff)
-
-    # -- predicates ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "MatrixAlgebraElement") -> "MatrixAlgebraElement":
-        out = MatrixAlgebraElement(self.ctx)
-        out.terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = out.terms.get(exp)
-            s = coeff if acc is None else acc + coeff
-            if s:
-                out.terms[exp] = s
-            elif acc is not None:
-                del out.terms[exp]
-        return out
-
-    def __neg__(self) -> "MatrixAlgebraElement":
-        out = MatrixAlgebraElement(self.ctx)
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "MatrixAlgebraElement") -> "MatrixAlgebraElement":
-        return self + (-other)
-
-    def scale(self, coeff: RationalFunction) -> "MatrixAlgebraElement":
-        out = MatrixAlgebraElement(self.ctx)
-        if coeff:
-            out.terms = {exp: c * coeff for exp, c in self.terms.items()}
-        return out
+        return super().monomial(ctx, exp, coeff)
 
     def __mul__(self, other: "MatrixAlgebraElement") -> "MatrixAlgebraElement":
+        self._check_operand(other)
         ctx = self.ctx
         out = MatrixAlgebraElement(ctx)
         acc = out.terms
@@ -172,42 +110,6 @@ class MatrixAlgebraElement:
                         del acc[exp]
                 check_terms(len(acc), "quantum-matrix product")
         return out
-
-    # -- comparison / presentation --------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixAlgebraElement):
-            return NotImplemented
-        return self.ctx.n == other.ctx.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"Y{self.ctx.gen_at(k)}^{e}" if e != 1 else f"Y{self.ctx.gen_at(k)}"
-                for k, e in enumerate(exp)
-                if e
-            )
-            parts.append(f"({coeff})" + ("*" + mono if mono else ""))
-        return " + ".join(parts)
-
-    # -- structural maps -----------------------------------------------------
-
-    def commutes_with_all_generators(self) -> bool:
-        ctx = self.ctx
-        for gen in ctx.generators:
-            g = MatrixAlgebraElement.generator(ctx, gen)
-            if (self * g - g * self):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def rf_to_json(rf: RationalFunction) -> dict:
-    return rf.to_json()
-
-
 def rf_from_json(data) -> RationalFunction:
     _require(isinstance(data, dict), "coefficient must be an object")
     _require(

@@ -14,7 +14,7 @@ import random
 import time
 from itertools import product as _iproduct
 
-from .context import build_context, integer_kernel_basis
+from .context import build_context
 from .derivations import (
     ad,
     basis_derivation,
@@ -29,6 +29,7 @@ from .derivations import (
     annihilates_qdet,
 )
 from .errors import ResourceLimitError
+from .linalg import integer_kernel_basis
 from .matrixalg import (
     MatrixAlgebraElement,
     b_minor,

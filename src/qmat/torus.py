@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .context import AlgebraContext, GeneratorIndex
+from .context import AlgebraContext
 from .errors import (
     IndexOutOfRangeError,
     NotAMonomialError,
@@ -24,19 +24,8 @@ from .errors import (
     NotInLatticeError,
 )
 from .limits import check_terms
-from .rational import RF_ONE, RationalFunction
-
-ExponentVector = tuple[int, ...]
-
-
-def zero_exponents(ctx: AlgebraContext) -> ExponentVector:
-    return (0,) * (ctx.n * ctx.n)
-
-
-def unit_exponent(ctx: AlgebraContext, gen: GeneratorIndex) -> ExponentVector:
-    k = ctx.flat(*gen)
-    nn = ctx.n * ctx.n
-    return (0,) * k + (1,) + (0,) * (nn - k - 1)
+from .rational import RationalFunction
+from .sparse import ExponentVector, SparseElement
 
 
 def commutation_exponent(
@@ -63,87 +52,18 @@ def is_central_monomial(ctx: AlgebraContext, g: ExponentVector) -> bool:
     return True
 
 
-class TorusElement:
+class TorusElement(SparseElement):
     """Finite sum of normal-ordered torus monomials with Q(q) coefficients."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
-    def __init__(self, ctx: AlgebraContext, terms: dict | None = None):
-        self.ctx = ctx
-        self.terms: dict[ExponentVector, RationalFunction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    self.terms[exp] = coeff
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def monomial(
-        ctx: AlgebraContext,
-        exp: ExponentVector,
-        coeff: RationalFunction = RF_ONE,
-    ) -> "TorusElement":
-        out = TorusElement(ctx)
-        if coeff:
-            out.terms[tuple(exp)] = coeff
-        return out
-
-    @staticmethod
-    def generator(ctx: AlgebraContext, gen: GeneratorIndex) -> "TorusElement":
-        return TorusElement.monomial(ctx, unit_exponent(ctx, gen))
-
-    @staticmethod
-    def one(ctx: AlgebraContext) -> "TorusElement":
-        return TorusElement.monomial(ctx, zero_exponents(ctx))
-
-    @staticmethod
-    def scalar(ctx: AlgebraContext, coeff: RationalFunction) -> "TorusElement":
-        return TorusElement.monomial(ctx, zero_exponents(ctx), coeff)
-
-    # -- predicates ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    LETTER = "T"
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_central(self) -> bool:
-        return all(is_central_monomial(self.ctx, g) for g in self.terms)
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        out = TorusElement(self.ctx)
-        out.terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = out.terms.get(exp)
-            s = coeff if acc is None else acc + coeff
-            if s:
-                out.terms[exp] = s
-            elif acc is not None:
-                del out.terms[exp]
-        return out
-
-    def __neg__(self) -> "TorusElement":
-        out = TorusElement(self.ctx)
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
-
-    def scale(self, coeff: RationalFunction) -> "TorusElement":
-        out = TorusElement(self.ctx)
-        if coeff:
-            out.terms = {exp: c * coeff for exp, c in self.terms.items()}
-        return out
-
     def __mul__(self, other: "TorusElement") -> "TorusElement":
+        self._check_operand(other)
         ctx = self.ctx
         B = ctx.B
         nn = len(B)
@@ -189,40 +109,6 @@ class TorusElement:
         e = commutation_exponent(self.ctx, exp, inv_exp)
         inv_coeff = coeff.inv().times_q_power(-e)
         return TorusElement.monomial(self.ctx, inv_exp, inv_coeff)
-
-    def commutes_with_all_generators(self) -> bool:
-        ctx = self.ctx
-        for gen in ctx.generators:
-            g = TorusElement.generator(ctx, gen)
-            if (self * g - g * self):
-                return False
-        return True
-
-    # -- comparison / presentation --------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self.ctx.n == other.ctx.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"T{self.ctx.gen_at(k)}^{e}" if e != 1 else f"T{self.ctx.gen_at(k)}"
-                for k, e in enumerate(exp)
-                if e
-            )
-            parts.append(f"({coeff})" + ("*" + mono if mono else ""))
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +159,16 @@ def delta_lattice_coordinates(
     return tuple(k)
 
 
+def _delta_product(ctx: AlgebraContext, k: tuple[int, ...]) -> TorusElement:
+    """The ordered product Delta_1^{k_1} ... Delta_n^{k_n}."""
+    prod = TorusElement.one(ctx)
+    for i in range(1, ctx.n + 1):
+        if k[i - 1]:
+            d = delta_exponents(ctx, i)
+            prod = prod * TorusElement.monomial(ctx, tuple(e * k[i - 1] for e in d))
+    return prod
+
+
 def central_to_delta_basis(x: TorusElement) -> dict[tuple[int, ...], RationalFunction]:
     """Express a central element as a Laurent polynomial in the distinguished
     central monomials.  Coefficients are adjusted so that the ordered
@@ -284,14 +180,7 @@ def central_to_delta_basis(x: TorusElement) -> dict[tuple[int, ...], RationalFun
             raise NotCentralError(f"monomial {exp} is not central")
         k = delta_lattice_coordinates(ctx, exp)
         # ordered product Delta_1^{k_1} ... Delta_n^{k_n} = q^c T^exp
-        prod = TorusElement.one(ctx)
-        for i in range(1, ctx.n + 1):
-            if k[i - 1]:
-                d = delta_exponents(ctx, i)
-                mono = TorusElement.monomial(
-                    ctx, tuple(e * k[i - 1] for e in d)
-                )
-                prod = prod * mono
+        prod = _delta_product(ctx, k)
         (pexp, pcoeff), = prod.terms.items()
         assert pexp == exp
         out[k] = coeff / pcoeff
@@ -304,14 +193,7 @@ def delta_basis_to_element(
     """Inverse of :func:`central_to_delta_basis`."""
     out = TorusElement(ctx)
     for k, coeff in coords.items():
-        prod = TorusElement.one(ctx)
-        for i in range(1, ctx.n + 1):
-            if k[i - 1]:
-                d = delta_exponents(ctx, i)
-                prod = prod * TorusElement.monomial(
-                    ctx, tuple(e * k[i - 1] for e in d)
-                )
-        out = out + prod.scale(coeff)
+        out = out + _delta_product(ctx, k).scale(coeff)
     return out
 
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 from .context import AlgebraContext, GeneratorIndex, StepIndex
 from .errors import NotAMonomialError, NotInSpanError, PivotNotMonomialError
 from .limits import check_terms
-from .linalg import solve_linear_system
-from .matrixalg import MatrixAlgebraElement, b_minor, qdet
+from .linalg import solve_in_span
+from .matrixalg import QDIFF, MatrixAlgebraElement, b_minor, qdet
 from .rational import RationalFunction
-from .torus import ExponentVector, TorusElement
+from .sparse import ExponentVector
+from .torus import TorusElement
 
 
 class StepGeneratorTable:
@@ -119,23 +120,19 @@ def verify_relations_preserved(table: StepGeneratorTable) -> list[dict]:
     """Check every defining relation among the embedded generators."""
     ctx = table.ctx
     top = table.top_entries()
-    q_inv = RationalFunction.q_power(-1)
-    q_diff = RationalFunction.q_power(1) - RationalFunction.q_power(-1)
-    report = []
     gens = ctx.generators
-    for u in gens:
-        for v in gens:
-            if u <= v:
-                continue
-            j, b = u
-            i, a = v
+    report = []
+    for ku, row in enumerate(ctx.relations):
+        u = gens[ku]
+        for kv, (e, cross) in enumerate(row):
+            v = gens[kv]
             lhs = top[u] * top[v]
-            if i == j or a == b:
-                rhs = (top[v] * top[u]).scale(q_inv)
-            elif a > b:
-                rhs = top[v] * top[u]
-            else:
-                rhs = top[v] * top[u] - (top[(i, b)] * top[(j, a)]).scale(q_diff)
+            rhs = top[v] * top[u]
+            if e:
+                rhs = rhs.scale(RationalFunction.q_power(e))
+            if cross:
+                ib, ja = (top[gens[k]] for k in cross)
+                rhs = rhs - (ib * ja).scale(QDIFF)
             report.append(
                 {"pair": (u, v), "ok": (lhs - rhs).is_zero()}
             )
@@ -265,15 +262,7 @@ def rebase_to_step(
                 f"{ctx.gen_at(k)} at step {step}"
             )
 
-    targets = {_bidegree(ctx, exp) for exp in x.terms}
-    candidates = []
-    seen = set()
-    for rows, cols in sorted(targets):
-        for exp in _boxed_margin_vectors(ctx, box, rows, cols):
-            if exp not in seen:
-                seen.add(exp)
-                candidates.append(exp)
-        check_terms(len(candidates), "rebase candidate enumeration")
+    candidates = _box_candidates(ctx, x, box)
     return solve_monomial_combination(table, step, x, candidates)
 
 
@@ -284,33 +273,13 @@ def solve_monomial_combination(
     candidates: list[ExponentVector],
 ) -> dict[ExponentVector, RationalFunction]:
     """Solve x = sum c_g * (embedded step monomial g) over the candidates."""
-    ctx = table.ctx
     images = [embed_monomial_at_step(table, step, exp) for exp in candidates]
-    basis: dict[ExponentVector, int] = {}
-    for img in images:
-        for exp in img.terms:
-            basis.setdefault(exp, len(basis))
-    for exp in x.terms:
-        basis.setdefault(exp, len(basis))
-    rows = len(basis)
-    cols = len(candidates)
-    matrix = [[None] * cols for _ in range(rows)]
-    for c, img in enumerate(images):
-        for exp, coeff in img.terms.items():
-            matrix[basis[exp]][c] = coeff
-    rhs = [None] * rows
-    for exp, coeff in x.terms.items():
-        rhs[basis[exp]] = coeff
-    solution = solve_linear_system(matrix, rhs)
+    solution = solve_in_span(images, x)
     if solution is None:
         raise NotInSpanError(
             "element is not a combination of step monomials within the box"
         )
-    out = {}
-    for exp, coeff in zip(candidates, solution):
-        if coeff:
-            out[exp] = coeff
-    return out
+    return {exp: coeff for exp, coeff in zip(candidates, solution) if coeff}
 
 
 def rebase_to_matrix_algebra(
@@ -324,22 +293,35 @@ def rebase_to_matrix_algebra(
     ctx = table.ctx
     if x.is_zero():
         return MatrixAlgebraElement(ctx)
+    candidates = natural_candidates(ctx, x, extra_degree)
+    coords = solve_monomial_combination(table, ctx.top_step(), x, candidates)
+    return MatrixAlgebraElement(ctx, coords)
+
+
+def natural_candidates(
+    ctx: AlgebraContext, x: TorusElement, margin: int
+) -> list[ExponentVector]:
+    """Natural exponent vectors sharing their row and column sums with a
+    term of x (the embedding preserves this bidegree), capped entry-wise
+    at the input's positive exponent hull plus the margin."""
     hull = [0] * (ctx.n * ctx.n)
     for exp in x.terms:
-        for k, e in enumerate(exp):
-            hull[k] = max(hull[k], max(e, 0))
-    caps = [h + extra_degree for h in hull]
-    targets = {_bidegree(ctx, exp) for exp in x.terms}
-    candidates = []
-    for rows, cols in sorted(targets):
-        if any(v < 0 for v in rows + cols) or sum(rows) != sum(cols):
+        rows, cols = _bidegree(ctx, exp)
+        if any(v < 0 for v in rows + cols):
             raise NotInSpanError("input carries degrees impossible in the algebra")
-        candidates.extend(_margin_matrices(ctx, rows, cols, caps))
-    coords = solve_monomial_combination(table, ctx.top_step(), x, candidates)
-    out = MatrixAlgebraElement(ctx)
-    for exp, coeff in coords.items():
-        out = out + MatrixAlgebraElement.monomial(ctx, exp, coeff)
-    return out
+        for k, e in enumerate(exp):
+            hull[k] = max(hull[k], e)
+    return _box_candidates(ctx, x, [(0, h + margin) for h in hull])
+
+
+def _box_candidates(ctx: AlgebraContext, x: TorusElement, box) -> list[ExponentVector]:
+    """Exponent vectors within the box sharing their row and column sums
+    with a term of x, grouped by bidegree in sorted order."""
+    candidates = []
+    for rows, cols in sorted({_bidegree(ctx, exp) for exp in x.terms}):
+        candidates.extend(_boxed_margin_vectors(ctx, box, rows, cols))
+        check_terms(len(candidates), "rebase candidate enumeration")
+    return candidates
 
 
 def _vectors_with_sum(bounds, total):
@@ -392,34 +374,6 @@ def _boxed_margin_vectors(ctx: AlgebraContext, box, rows, cols):
                 col_lo[i + 1][a] <= nxt[a] <= col_hi[i + 1][a] for a in range(n)
             ):
                 rec(i + 1, nxt, prefix + list(row))
-
-    rec(0, list(cols), [])
-    return out
-
-
-def _margin_matrices(ctx: AlgebraContext, rows, cols, caps):
-    """All natural exponent vectors with the given row and column sums,
-    bounded entry-wise by caps."""
-    n = ctx.n
-    out = []
-
-    def rec(i, cols_left, prefix):
-        if i == n:
-            if not any(cols_left):
-                out.append(tuple(prefix))
-            return
-        target = rows[i]
-
-        def fill(a, remaining, acc):
-            if a == n:
-                if remaining == 0:
-                    rec(i + 1, [c - v for c, v in zip(cols_left, acc)], prefix + acc)
-                return
-            top = min(remaining, cols_left[a], caps[i * n + a])
-            for v in range(top + 1):
-                fill(a + 1, remaining - v, acc + [v])
-
-        fill(0, target, [])
 
     rec(0, list(cols), [])
     return out

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qmat.context import build_context, integer_kernel_basis, rational_rank
+from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
     _weighted_basis,
@@ -26,6 +26,7 @@ from qmat.derivations import (
     mu_sum_constraint,
     sl_basis_derivation,
 )
+from qmat.linalg import integer_kernel_basis, rational_rank
 from qmat.matrixalg import MatrixAlgebraElement, b_minor, qdet, sigma_automorphism
 from qmat.rational import RF_ONE
 from qmat.suite import (

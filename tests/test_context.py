@@ -1,11 +1,8 @@
 import pytest
 
-from qmat.context import (
-    build_context,
-    integer_kernel_basis,
-    rational_rank,
-)
+from qmat.context import build_context
 from qmat.errors import IndexOutOfRangeError, InvalidDimensionError
+from qmat.linalg import integer_kernel_basis, rational_rank
 
 
 class TestCommutationMatrix:

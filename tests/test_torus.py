@@ -21,9 +21,9 @@ from qmat.torus import (
     delta_lattice_coordinates,
     in_subalgebra,
     is_central_monomial,
-    unit_exponent,
     zset_conditions,
 )
+from qmat.sparse import unit_exponent
 
 
 def exponent_vectors(n, bound=2):
