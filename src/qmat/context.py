@@ -54,7 +54,7 @@ class AlgebraContext:
     cross term.
     """
 
-    __slots__ = ("n", "B", "E", "generators", "relations", "_step_pos")
+    __slots__ = ("n", "B", "E", "generators", "relations")
 
     def __init__(self, n: int):
         if n < 2:
@@ -76,7 +76,6 @@ class AlgebraContext:
         steps.remove((1, 1))
         steps.append((n, n + 1))
         self.E = tuple(steps)
-        self._step_pos = {r: k for k, r in enumerate(self.E)}
 
     # -- generator indexing --------------------------------------------------
 
@@ -92,12 +91,6 @@ class AlgebraContext:
         return (i + 1, a + 1)
 
     # -- tower steps ---------------------------------------------------------
-
-    def step_successor(self, r: StepIndex) -> StepIndex:
-        pos = self._step_pos[r]
-        if pos + 1 >= len(self.E):
-            raise IndexOutOfRangeError(f"step {r} has no successor")
-        return self.E[pos + 1]
 
     def top_step(self) -> StepIndex:
         return self.E[-1]

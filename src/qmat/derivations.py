@@ -27,7 +27,7 @@ from .errors import (
     NotPolynomialError,
 )
 from .linalg import solve_in_span
-from .matrixalg import QDIFF, MatrixAlgebraElement, qdet
+from .matrixalg import MatrixAlgebraElement, qdet, relation_report
 from .rational import RF_ONE, RF_ZERO, RationalFunction
 from .torus import (
     TorusElement,
@@ -36,29 +36,27 @@ from .torus import (
 )
 from .tower import StepGeneratorTable, embed, natural_candidates
 
+ALGEBRAS = {cls.ALG: cls for cls in (MatrixAlgebraElement, TorusElement)}
+
 
 class DerivationSpec:
     """A derivation given by generator images over one of the two algebras."""
 
-    __slots__ = ("ctx", "alg", "images")
+    __slots__ = ("ctx", "cls", "images")
 
     def __init__(self, ctx: AlgebraContext, alg: str, images: dict):
-        if alg not in ("Mq", "torus"):
+        if alg not in ALGEBRAS:
             raise ValueError(f"unknown algebra tag {alg!r}")
         self.ctx = ctx
-        self.alg = alg
+        self.cls = ALGEBRAS[alg]
         self.images = dict(images)
         for gen in ctx.generators:
             if gen not in self.images:
-                self.images[gen] = self._zero()
+                self.images[gen] = self.cls(ctx)
 
-    def _zero(self):
-        cls = MatrixAlgebraElement if self.alg == "Mq" else TorusElement
-        return cls(self.ctx)
-
-    def _gen(self, gen: GeneratorIndex):
-        cls = MatrixAlgebraElement if self.alg == "Mq" else TorusElement
-        return cls.generator(self.ctx, gen)
+    @property
+    def alg(self) -> str:
+        return self.cls.ALG
 
     def __add__(self, other: "DerivationSpec") -> "DerivationSpec":
         if self.alg != other.alg or self.ctx.n != other.ctx.n:
@@ -98,10 +96,6 @@ class DerivationSpec:
         return f"DerivationSpec(n={self.ctx.n}, alg={self.alg!r})"
 
 
-def zero_derivation(ctx: AlgebraContext, alg: str) -> DerivationSpec:
-    return DerivationSpec(ctx, alg, {})
-
-
 # ---------------------------------------------------------------------------
 # Leibniz extension
 
@@ -114,15 +108,15 @@ def leibniz_extend(d: DerivationSpec, x):
     powers handled through D(t^{-1}) = -t^{-1} D(t) t^{-1}.
     """
     ctx = d.ctx
-    out = d._zero()
+    out = d.cls(ctx)
     for exp, coeff in x.terms.items():
         value = type(x).one(ctx)
-        deriv = d._zero()
+        deriv = d.cls(ctx)
         for k, e in enumerate(exp):
             if not e:
                 continue
             gen = ctx.gen_at(k)
-            g = d._gen(gen)
+            g = d.cls.generator(ctx, gen)
             dg = d.images[gen]
             if e > 0:
                 factor, dfactor = g, dg
@@ -149,25 +143,14 @@ def check_derivation(d: DerivationSpec) -> list[dict]:
     Torus generators q-commute with the same exponents as the algebra's
     generators but carry no cross term.
     """
-    gens = d.ctx.generators
-    report = []
-    for ku, row in enumerate(d.ctx.relations):
-        u = gens[ku]
-        for kv, (e, cross) in enumerate(row):
-            v = gens[kv]
-            g_u, g_v = d._gen(u), d._gen(v)
-            du, dv = d.images[u], d.images[v]
-            lhs = du * g_v + g_u * dv
-            rhs = dv * g_u + g_v * du
-            if e:
-                rhs = rhs.scale(RationalFunction.q_power(e))
-            if cross and d.alg == "Mq":
-                ib, ja = (gens[k] for k in cross)
-                g_ib, g_ja = d._gen(ib), d._gen(ja)
-                d_ib, d_ja = d.images[ib], d.images[ja]
-                rhs = rhs - (d_ib * g_ja + g_ib * d_ja).scale(QDIFF)
-            report.append({"pair": (u, v), "ok": (lhs - rhs).is_zero()})
-    return report
+    ctx = d.ctx
+    g = [d.cls.generator(ctx, gen) for gen in ctx.generators]
+    dg = [d.images[gen] for gen in ctx.generators]
+    return relation_report(
+        ctx,
+        lambda a, b: dg[a] * g[b] + g[a] * dg[b],
+        cross_terms=d.cls is MatrixAlgebraElement,
+    )
 
 
 def is_derivation(d: DerivationSpec) -> bool:
@@ -185,13 +168,12 @@ def failing_relations(report: list[dict]) -> list:
 def ad(x) -> DerivationSpec:
     """The inner derivation g -> x*g - g*x."""
     ctx = x.ctx
-    alg = "Mq" if isinstance(x, MatrixAlgebraElement) else "torus"
     cls = type(x)
     images = {}
     for gen in ctx.generators:
         g = cls.generator(ctx, gen)
         images[gen] = x * g - g * x
-    return DerivationSpec(ctx, alg, images)
+    return DerivationSpec(ctx, cls.ALG, images)
 
 
 def basis_derivation(ctx: AlgebraContext, j: int) -> DerivationSpec:
@@ -366,37 +348,20 @@ DetPolynomial = dict[int, RationalFunction]
 # sparse Laurent polynomial in the quantum determinant: power -> coefficient
 
 
-def _det_poly_of_central(z: TorusElement, allow_laurent: bool) -> DetPolynomial:
-    """Read a central torus element as a (Laurent) polynomial in the full
-    central monomial Delta_n."""
-    ctx = z.ctx
-    n = ctx.n
+def _det_poly_of_central(z: TorusElement) -> DetPolynomial:
+    """Read a central torus element as a polynomial in the full central
+    monomial Delta_n."""
     out: DetPolynomial = {}
     for k, coeff in central_to_delta_basis(z).items():
         if any(k[:-1]):
             raise ConditionViolatedError(
                 f"central weight involves a non-determinant lattice direction: {k}"
             )
-        if k[-1] < 0 and not allow_laurent:
+        if k[-1] < 0:
             raise NotPolynomialError(
                 f"central weight has negative determinant power {k[-1]}"
             )
         out[k[-1]] = coeff
-    return out
-
-
-def _det_poly_zero() -> DetPolynomial:
-    return {}
-
-
-def det_poly_add(p: DetPolynomial, r: DetPolynomial, sign: int = 1) -> DetPolynomial:
-    out = dict(p)
-    for k, c in r.items():
-        s = out.get(k, RF_ZERO) + (c if sign > 0 else -c)
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
     return out
 
 
@@ -452,7 +417,6 @@ def mu_index_of_generator(n: int, i: int, a: int) -> int | None:
 def express_hh1(
     table: StepGeneratorTable,
     d: DerivationSpec,
-    allow_laurent: bool = False,
     box_margin: int = 1,
 ) -> HH1Coordinates:
     """Write a quantum-matrix derivation as ad_x + sum_j mu_j D_j.
@@ -471,7 +435,7 @@ def express_hh1(
     for (i, a), weight in dec.z.items():
         j = mu_index_of_generator(n, i, a)
         if j is not None:
-            mu[j - 1] = _det_poly_of_central(weight, allow_laurent)
+            mu[j - 1] = _det_poly_of_central(weight)
     for (i, a), weight in dec.z.items():
         if i >= 2 and a >= 2:
             expected = (
@@ -484,15 +448,14 @@ def express_hh1(
 
     inner = _solve_inner_part(table, dec.x, margin=box_margin)
 
-    if not allow_laurent:
-        residual = d - ad(inner)
-        for j in range(1, 2 * n):
-            if mu[j - 1]:
-                residual = residual - _weighted_basis(ctx, j, mu[j - 1])
-        if not residual.is_zero():
-            raise ConditionViolatedError(
-                "reconstruction residual is nonzero"
-            )
+    residual = d - ad(inner)
+    for j in range(1, 2 * n):
+        if mu[j - 1]:
+            residual = residual - _weighted_basis(ctx, j, mu[j - 1])
+    if not residual.is_zero():
+        raise ConditionViolatedError(
+            "reconstruction residual is nonzero"
+        )
     return HH1Coordinates(ctx, inner, [m or {} for m in mu])
 
 
@@ -574,16 +537,16 @@ def mu_sum_constraint(coords: HH1Coordinates) -> bool:
     """The linear relation forced on the weights of determinant-annihilating
     derivations: sum of all mu_j (j != n) minus (n-2) mu_n vanishes."""
     n = coords.ctx.n
-    total = _det_poly_zero()
-    for j in range(1, 2 * n):
-        if j == n:
-            continue
-        total = det_poly_add(total, coords.mu[j - 1])
-    scaled_n = {
-        k: c * RationalFunction.from_int(n - 2)
-        for k, c in coords.mu[n - 1].items()
-    }
-    return not det_poly_add(total, scaled_n, sign=-1)
+    total: DetPolynomial = {}
+    for j, m in enumerate(coords.mu, 1):
+        weight = RationalFunction.from_int(2 - n) if j == n else RF_ONE
+        for k, c in m.items():
+            s = total.get(k, RF_ZERO) + c * weight
+            if s:
+                total[k] = s
+            else:
+                total.pop(k, None)
+    return not total
 
 
 def gl_express(

@@ -18,6 +18,7 @@ and, more strongly, by the torus-embedding homomorphism check.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 
 from .context import AlgebraContext
 from .errors import IndexOutOfRangeError
@@ -74,12 +75,36 @@ def normalize_word(ctx: AlgebraContext, word) -> dict[ExponentVector, RationalFu
     return done
 
 
+def relation_report(ctx: AlgebraContext, prod, cross_terms: bool = True) -> list[dict]:
+    """Check a product rule against every defining relation.
+
+    For every flat pair u > v of ``ctx.relations`` the check is
+    prod(u, v) == q^e prod(v, u) - (q - q^{-1}) prod(ib, ja), the cross
+    term only where the relation has one and ``cross_terms`` is true.
+    Returns one {"pair": (gen u, gen v), "ok": bool} per pair, in table
+    order.
+    """
+    gens = ctx.generators
+    report = []
+    for u, row in enumerate(ctx.relations):
+        for v, (e, cross) in enumerate(row):
+            lhs = prod(u, v)
+            rhs = prod(v, u)
+            if e:
+                rhs = rhs.scale(RationalFunction.q_power(e))
+            if cross and cross_terms:
+                rhs = rhs - prod(*cross).scale(QDIFF)
+            report.append({"pair": (gens[u], gens[v]), "ok": (lhs - rhs).is_zero()})
+    return report
+
+
 class MatrixAlgebraElement(SparseElement):
     """Finite sum of PBW monomials with Q(q) coefficients."""
 
     __slots__ = ()
 
     LETTER = "Y"
+    ALG = "Mq"
 
     @classmethod
     def monomial(
@@ -142,7 +167,9 @@ def qminor(
         if not (1 <= v <= ctx.n):
             raise IndexOutOfRangeError(f"index {v} outside [1, {ctx.n}]")
     t = len(rows)
-    out = MatrixAlgebraElement(ctx)
+    # distinct permutations give distinct exponent vectors: t! terms
+    check_terms(factorial(t), "quantum minor")
+    terms = {}
     nn = ctx.n * ctx.n
     for perm in permutations(range(t)):
         exp = [0] * nn
@@ -150,10 +177,8 @@ def qminor(
             exp[ctx.flat(rows[k], cols[perm[k]])] += 1
         l = _inversions(perm)
         coeff = RationalFunction.q_power(l)
-        if l % 2:
-            coeff = -coeff
-        out = out + MatrixAlgebraElement.monomial(ctx, tuple(exp), coeff)
-    return out
+        terms[tuple(exp)] = -coeff if l % 2 else coeff
+    return MatrixAlgebraElement(ctx, terms)
 
 
 def qdet(ctx: AlgebraContext) -> MatrixAlgebraElement:

@@ -151,27 +151,31 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_P_ONE, *, _reduced=False):
+        if _reduced:
+            # the caller passes trimmed tuples of a canonical quotient
+            self.num = num
+            self.den = den
+            return
         num = _trim(num)
         den = _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
         if not num:
             den = _P_ONE
-        elif not _reduced:
-            if den != _P_ONE:
-                if _is_q_power(den) or _is_q_power(num):
-                    # One side is c*q^k, so the gcd in Z[q] is the gcd of
-                    # all coefficients times q^min(ord num, ord den).
-                    k = min(_order(num), _order(den))
-                    g = _int_gcd(*num, *den)
-                    if k or g != 1:
-                        num = tuple(c // g for c in num[k:])
-                        den = tuple(c // g for c in den[k:])
-                else:
-                    g = _pgcd(num, den)
-                    if g != _P_ONE:
-                        num = _pdiv_exact(num, g)
-                        den = _pdiv_exact(den, g)
+        elif den != _P_ONE:
+            if _is_q_power(den) or _is_q_power(num):
+                # One side is c*q^k, so the gcd in Z[q] is the gcd of
+                # all coefficients times q^min(ord num, ord den).
+                k = min(_order(num), _order(den))
+                g = _int_gcd(*num, *den)
+                if k or g != 1:
+                    num = tuple(c // g for c in num[k:])
+                    den = tuple(c // g for c in den[k:])
+            else:
+                g = _pgcd(num, den)
+                if g != _P_ONE:
+                    num = _pdiv_exact(num, g)
+                    den = _pdiv_exact(den, g)
             if den[-1] < 0:
                 num, den = _pneg(num), _pneg(den)
         self.num = num
@@ -306,18 +310,7 @@ class RationalFunction:
     def to_json(self) -> dict:
         return {"num": list(self.num), "den": list(self.den)}
 
-    @staticmethod
-    def from_json(data: dict) -> "RationalFunction":
-        return RationalFunction(tuple(data["num"]), tuple(data["den"]))
-
 
 RF_ZERO = RationalFunction(())
 RF_ONE = RationalFunction(_P_ONE)
 _Q_POWER_CACHE: dict[int, RationalFunction] = {}
-
-
-def q_power_minus(a: int, b: int) -> RationalFunction:
-    """The element q^a - q^b; zero exactly when a = b."""
-    if a == b:
-        return RF_ZERO
-    return RationalFunction.q_power(a) - RationalFunction.q_power(b)

@@ -9,11 +9,9 @@ disagree, matching the command-line exit-code contract.
 from __future__ import annotations
 
 from .context import AlgebraContext, build_context
-from .derivations import DerivationSpec, DetPolynomial, HH1Coordinates
+from .derivations import ALGEBRAS, DerivationSpec, DetPolynomial, HH1Coordinates
 from .errors import DimensionMismatchError, ParseError
-from .matrixalg import MatrixAlgebraElement
 from .rational import RationalFunction
-from .torus import TorusElement
 
 
 def _require(cond: bool, message: str) -> None:
@@ -78,12 +76,7 @@ def element_to_json(x) -> dict:
         {"exp": _exp_to_triples(ctx, exp), "coeff": coeff.to_json()}
         for exp, coeff in x.sorted_terms()
     ]
-    out = {"n": ctx.n, "terms": terms}
-    if isinstance(x, MatrixAlgebraElement):
-        out["alg"] = "Mq"
-    else:
-        out["alg"] = "torus"
-    return out
+    return {"n": ctx.n, "terms": terms, "alg": x.ALG}
 
 
 def element_from_json(data, alg: str | None = None, n: int | None = None):
@@ -94,13 +87,13 @@ def element_from_json(data, alg: str | None = None, n: int | None = None):
             f"element has n = {data['n']}, expected {n}"
         )
     tag = data.get("alg", alg or "torus")
-    _require(tag in ("Mq", "torus"), f"unknown algebra tag {tag!r}")
+    _require(tag in ALGEBRAS, f"unknown algebra tag {tag!r}")
     if alg is not None and tag != alg:
         raise DimensionMismatchError(
             f"element is tagged {tag!r}, expected {alg!r}"
         )
     ctx = build_context(data["n"])
-    cls = MatrixAlgebraElement if tag == "Mq" else TorusElement
+    cls = ALGEBRAS[tag]
     out = cls(ctx)
     _require(isinstance(data.get("terms"), list), "element needs a terms list")
     for term in data["terms"]:
@@ -128,7 +121,7 @@ def derivation_to_json(d: DerivationSpec) -> dict:
 def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
     _require(isinstance(data, dict), "derivation spec must be an object")
     alg = data.get("alg")
-    _require(alg in ("Mq", "torus"), "spec needs alg Mq or torus")
+    _require(alg in ALGEBRAS, "spec needs alg Mq or torus")
     _require(isinstance(data.get("images"), list), "spec needs an images list")
     dim = data.get("n")
     _require(dim is None or _is_int(dim), "spec n must be an integer")
@@ -142,6 +135,8 @@ def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
             and all(_is_int(v) for v in gen),
             "image gen must be a pair [i, a]",
         )
+        _require("value" in entry, f"image of {gen} needs a value")
+        _require(tuple(gen) not in images, f"generator {gen} has two images")
         value = element_from_json(entry["value"], alg=alg, n=n)
         if dim is None:
             dim = value.ctx.n

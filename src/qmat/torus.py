@@ -58,6 +58,7 @@ class TorusElement(SparseElement):
     __slots__ = ()
 
     LETTER = "T"
+    ALG = "torus"
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -205,51 +206,20 @@ class SubalgebraPattern:
     """Per-generator sign constraint: True entries may carry negative
     exponents, False entries are restricted to natural numbers."""
 
-    __slots__ = ("ctx", "allow_negative", "name")
+    __slots__ = ("allow_negative",)
 
-    def __init__(self, ctx: AlgebraContext, allow_negative, name: str):
-        self.ctx = ctx
+    def __init__(self, allow_negative):
         self.allow_negative = tuple(allow_negative)
-        self.name = name
-
-    @staticmethod
-    def affine_space(ctx: AlgebraContext) -> "SubalgebraPattern":
-        """The quantum affine space: all exponents natural."""
-        return SubalgebraPattern(
-            ctx, (False,) * (ctx.n * ctx.n), "affine"
-        )
 
     @staticmethod
     def u22(ctx: AlgebraContext) -> "SubalgebraPattern":
         """First row and first column natural, everything else invertible."""
-        allow = [
-            i > 1 and a > 1 for (i, a) in ctx.generators
-        ]
-        return SubalgebraPattern(ctx, allow, "U(2,2)")
-
-    @staticmethod
-    def v_step(ctx: AlgebraContext, step) -> "SubalgebraPattern":
-        """First-row/first-column generators strictly after the step become
-        invertible on top of the U(2,2) pattern."""
-        j, b = step
-        allow = [
-            (i > 1 and a > 1) or ((i == 1 or a == 1) and (i, a) > (j, b))
-            for (i, a) in ctx.generators
-        ]
-        return SubalgebraPattern(ctx, allow, f"V{step}")
-
-    @staticmethod
-    def torus(ctx: AlgebraContext) -> "SubalgebraPattern":
-        return SubalgebraPattern(ctx, (True,) * (ctx.n * ctx.n), "torus")
+        return SubalgebraPattern(i > 1 and a > 1 for (i, a) in ctx.generators)
 
     def admits(self, exp: ExponentVector) -> bool:
         return all(
             e >= 0 or ok for e, ok in zip(exp, self.allow_negative)
         )
-
-
-def in_subalgebra(x: TorusElement, pattern: SubalgebraPattern) -> bool:
-    return all(pattern.admits(exp) for exp in x.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .context import AlgebraContext, GeneratorIndex, StepIndex
 from .errors import NotAMonomialError, NotInSpanError, PivotNotMonomialError
 from .limits import check_terms
 from .linalg import solve_in_span
-from .matrixalg import QDIFF, MatrixAlgebraElement, b_minor, qdet
+from .matrixalg import MatrixAlgebraElement, b_minor, qdet, relation_report
 from .rational import RationalFunction
 from .sparse import ExponentVector
 from .torus import TorusElement
@@ -31,9 +31,6 @@ class StepGeneratorTable:
         self.ctx = ctx
         self.entries: dict[StepIndex, dict[GeneratorIndex, TorusElement]] = {}
         self._embed_cache: dict[ExponentVector, TorusElement] = {}
-
-    def entry(self, step: StepIndex, gen: GeneratorIndex) -> TorusElement:
-        return self.entries[step][gen]
 
     def top_entries(self) -> dict[GeneratorIndex, TorusElement]:
         return self.entries[self.ctx.top_step()]
@@ -118,25 +115,9 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
 
 def verify_relations_preserved(table: StepGeneratorTable) -> list[dict]:
     """Check every defining relation among the embedded generators."""
-    ctx = table.ctx
-    top = table.top_entries()
-    gens = ctx.generators
-    report = []
-    for ku, row in enumerate(ctx.relations):
-        u = gens[ku]
-        for kv, (e, cross) in enumerate(row):
-            v = gens[kv]
-            lhs = top[u] * top[v]
-            rhs = top[v] * top[u]
-            if e:
-                rhs = rhs.scale(RationalFunction.q_power(e))
-            if cross:
-                ib, ja = (top[gens[k]] for k in cross)
-                rhs = rhs - (ib * ja).scale(QDIFF)
-            report.append(
-                {"pair": (u, v), "ok": (lhs - rhs).is_zero()}
-            )
-    return report
+    entries = table.top_entries()
+    top = [entries[gen] for gen in table.ctx.generators]
+    return relation_report(table.ctx, lambda a, b: top[a] * top[b])
 
 
 def verify_step_factorizations(table: StepGeneratorTable) -> list[dict]:
@@ -283,17 +264,16 @@ def solve_monomial_combination(
 
 
 def rebase_to_matrix_algebra(
-    table: StepGeneratorTable,
-    x: TorusElement,
-    extra_degree: int = 1,
+    table: StepGeneratorTable, x: TorusElement
 ) -> MatrixAlgebraElement:
     """Express a torus element as an element of the quantum-matrix algebra
     (top step, natural exponents only), enumerating candidate monomials by
-    the row/column multidegrees present in the input."""
+    the row/column multidegrees present in the input, capped at its
+    positive exponent hull plus one."""
     ctx = table.ctx
     if x.is_zero():
         return MatrixAlgebraElement(ctx)
-    candidates = natural_candidates(ctx, x, extra_degree)
+    candidates = natural_candidates(ctx, x, 1)
     coords = solve_monomial_combination(table, ctx.top_step(), x, candidates)
     return MatrixAlgebraElement(ctx, coords)
 

@@ -7,11 +7,13 @@ import pytest
 from qmat.cli import main
 from qmat.context import build_context
 from qmat.derivations import DerivationSpec, ad, basis_derivation
+from qmat.limits import get_max_terms, set_max_terms
 from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.serialize import derivation_to_json, element_to_json
 from qmat.torus import TorusElement
 
 SCHEMA_FILE = files("qmat") / "schemas" / "report.schema.json"
+ZERO_MQ = {"n": 2, "alg": "Mq", "terms": []}
 
 
 def write_json(tmp_path, name, data):
@@ -137,6 +139,32 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_max_terms_is_parse_error(self, capsys, value):
         code = main(["--max-terms", value, "det", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_term_limit_exits_1(self, capsys):
+        saved = get_max_terms()
+        try:
+            code = main(["--max-terms", "100", "det", "--n", "5"])
+        finally:
+            set_max_terms(saved)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            [{"gen": [1, 1]}],
+            [{"gen": [1, 1], "value": ZERO_MQ}, {"gen": [1, 1], "value": ZERO_MQ}],
+        ],
+        ids=["missing value", "repeated gen"],
+    )
+    def test_bad_image_entry_is_parse_error(self, tmp_path, capsys, images):
+        data = {"alg": "Mq", "n": 2, "images": images}
+        path = write_json(tmp_path, "d.json", data)
+        code = main(["derivation", "check", path])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ")

@@ -66,12 +66,6 @@ class TestStepList:
         assert (1, 1) not in ctx.E
         assert ctx.E[-1] == (3, 4)
 
-    def test_successor(self):
-        ctx = build_context(2)
-        assert ctx.step_successor((1, 2)) == (2, 1)
-        with pytest.raises(IndexOutOfRangeError):
-            ctx.step_successor((2, 3))
-
 
 class TestLinearAlgebraHelpers:
     def test_rank(self):

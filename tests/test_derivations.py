@@ -20,7 +20,6 @@ from qmat.derivations import (
     lift_to_torus,
     mu_sum_constraint,
     sl_basis_derivation,
-    zero_derivation,
 )
 from qmat.errors import (
     InconsistentDecompositionError,
@@ -286,7 +285,7 @@ class TestExpress:
         assert coords.inner.is_zero()
 
     def test_zero_spec(self, t2):
-        coords = express_hh1(t2, zero_derivation(t2.ctx, "Mq"))
+        coords = express_hh1(t2, DerivationSpec(t2.ctx, "Mq", {}))
         assert coords.inner.is_zero() and all(not m for m in coords.mu)
 
     def test_mixed_recovery(self, t3):

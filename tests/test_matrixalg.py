@@ -3,13 +3,15 @@ import random
 import pytest
 
 from qmat.context import build_context
-from qmat.errors import IndexOutOfRangeError
+from qmat.errors import IndexOutOfRangeError, ResourceLimitError
+from qmat.limits import get_max_terms, set_max_terms
 from qmat.matrixalg import (
     MatrixAlgebraElement,
     b_minor,
     normalize_word,
     qdet,
     qminor,
+    relation_report,
     sigma_automorphism,
 )
 from qmat.rational import RF_ONE, RationalFunction
@@ -55,6 +57,26 @@ class TestRelations:
         for _ in range(20):
             a, b, c = (rng.choice(gens) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_relation_report_on_generators(self, n):
+        ctx = build_context(n)
+        g = [MatrixAlgebraElement.generator(ctx, gen) for gen in ctx.generators]
+        prod = lambda a, b: g[a] * g[b]
+        report = relation_report(ctx, prod)
+        assert [e["pair"] for e in report] == [
+            (ctx.gen_at(u), ctx.gen_at(v)) for u in range(n * n) for v in range(u)
+        ]
+        assert all(e["ok"] for e in report)
+        # without the cross term exactly the pairs that carry one fail
+        no_cross = relation_report(ctx, prod, cross_terms=False)
+        failed = [e["pair"] for e in no_cross if not e["ok"]]
+        assert failed == [
+            (ctx.gen_at(u), ctx.gen_at(v))
+            for u, row in enumerate(ctx.relations)
+            for v, (_e, cross) in enumerate(row)
+            if cross
+        ]
 
     def test_negative_exponent_rejected(self):
         ctx = build_context(2)
@@ -103,6 +125,15 @@ class TestMinors:
             qminor(ctx, (2, 1), (1, 2))
         with pytest.raises(IndexOutOfRangeError):
             qminor(ctx, (1, 3), (1, 2))
+
+    def test_term_guard_trips(self):
+        saved = get_max_terms()
+        set_max_terms(100)
+        try:
+            with pytest.raises(ResourceLimitError):
+                qdet(build_context(5))  # 120 terms
+        finally:
+            set_max_terms(saved)
 
     def test_single_entry(self):
         ctx = build_context(2)

@@ -12,8 +12,8 @@ from qmat.rational import (
     _pdiv_exact,
     _pgcd,
     _trim,
-    q_power_minus,
 )
+from qmat.serialize import rf_from_json
 
 small_ints = st.integers(min_value=-6, max_value=6)
 
@@ -74,11 +74,6 @@ class TestArithmetic:
         s = RationalFunction.q_power(1) + RationalFunction.q_power(-1)
         # q + 1/q = (q^2 + 1)/q
         assert s.num == (1, 0, 1) and s.den == (0, 1)
-
-    def test_q_power_minus(self):
-        assert q_power_minus(2, 2) is RF_ZERO
-        d = q_power_minus(1, -1)
-        assert d == RationalFunction((-1, 0, 1), (0, 1))
 
     def test_division(self):
         a = RationalFunction((1, 1))
@@ -179,6 +174,28 @@ class TestLaurentFastPath:
         assert x.times_q_power(e) == x * RationalFunction.q_power(e)
 
 
+class TestStoredAsGiven:
+    """q_power, negation, times_q_power and inv build their results with
+    ``_reduced=True``, which stores the tuples without trimming or
+    reducing them; each result must be the full reduction of itself."""
+
+    @staticmethod
+    def assert_canonical(r):
+        full = RationalFunction(r.num, r.den)
+        assert type(r.num) is tuple and type(r.den) is tuple
+        assert r.num == _trim(r.num) and r.den == _trim(r.den)
+        assert (r.num, r.den) == (full.num, full.den)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shifted_rationals(), st.integers(min_value=-6, max_value=6))
+    def test_results_are_canonical(self, x, e):
+        self.assert_canonical(RationalFunction.q_power(e))
+        self.assert_canonical(-x)
+        self.assert_canonical(x.times_q_power(e))
+        if x:
+            self.assert_canonical(x.inv())
+
+
 class TestSympyOracle:
     """Sampled cross-check of the canonical form against sympy.cancel."""
 
@@ -244,7 +261,7 @@ class TestSerialization:
     @settings(max_examples=40, deadline=None)
     @given(rationals())
     def test_round_trip(self, a):
-        assert RationalFunction.from_json(a.to_json()) == a
+        assert rf_from_json(a.to_json()) == a
 
     def test_shape(self):
         assert RF_ONE.to_json() == {"num": [1], "den": [1]}

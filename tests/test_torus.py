@@ -19,11 +19,9 @@ from qmat.torus import (
     delta_element,
     delta_exponents,
     delta_lattice_coordinates,
-    in_subalgebra,
     is_central_monomial,
     zset_conditions,
 )
-from qmat.sparse import unit_exponent
 
 
 def exponent_vectors(n, bound=2):
@@ -187,25 +185,6 @@ class TestPatterns:
         assert pattern.admits((0, 0, 0, -1))
         assert not pattern.admits((-1, 0, 0, 0))
         assert not pattern.admits((0, -1, 0, 0))
-
-    def test_affine_pattern(self):
-        ctx = build_context(2)
-        pattern = SubalgebraPattern.affine_space(ctx)
-        assert pattern.admits((1, 2, 0, 3))
-        assert not pattern.admits((0, 0, -1, 0))
-
-    def test_in_subalgebra(self):
-        ctx = build_context(2)
-        x = TorusElement.monomial(ctx, (1, 0, 0, -1))
-        assert in_subalgebra(x, SubalgebraPattern.u22(ctx))
-        assert not in_subalgebra(x, SubalgebraPattern.affine_space(ctx))
-
-    def test_v_step_pattern(self):
-        ctx = build_context(3)
-        pattern = SubalgebraPattern.v_step(ctx, (1, 2))
-        # first-row generators after (1,2) are invertible, (1,1) is not
-        assert pattern.admits(tuple(-unit_exponent(ctx, (1, 3))[k] for k in range(9)))
-        assert not pattern.admits(tuple(-unit_exponent(ctx, (1, 1))[k] for k in range(9)))
 
 
 class TestZsetConditions:
