@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     QmatError,
 )
-from .limits import set_max_terms
+from .limits import restored_max_terms, set_max_terms
 from .matrixalg import qdet, qminor
 from .serialize import (
     derivation_from_json,
@@ -153,7 +153,7 @@ def cmd_derivation(args) -> int:
         )
         return 0
     if args.action == "hh1":
-        coords = express_hh1(table, spec, box_margin=args.box)
+        coords = express_hh1(table, spec)
         _emit(hh1_to_json(coords))
         return 0
     raise ParseError(f"unknown derivation action {args.action!r}")
@@ -220,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["check", "decompose", "hh1"])
     p.add_argument("file")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument(
-        "--box",
-        type=int,
-        default=1,
-        help="exponent-box margin for the inner-part solve",
-    )
     p.set_defaults(fn=cmd_derivation)
 
     p = sub.add_parser("verify-suite", help="run the full verification suite")
@@ -244,12 +238,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.max_terms is not None:
-            try:
-                set_max_terms(args.max_terms)
-            except ValueError as exc:
-                raise ParseError(f"--max-terms: {exc}") from exc
-        return args.fn(args)
+        with restored_max_terms():
+            if args.max_terms is not None:
+                try:
+                    set_max_terms(args.max_terms)
+                except ValueError as exc:
+                    raise ParseError(f"--max-terms: {exc}") from exc
+            return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

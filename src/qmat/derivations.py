@@ -23,10 +23,8 @@ from .errors import (
     InconsistentDecompositionError,
     IndexOutOfRangeError,
     NotADerivationError,
-    NotInSpanError,
     NotPolynomialError,
 )
-from .linalg import solve_in_span
 from .matrixalg import MatrixAlgebraElement, qdet, relation_report
 from .rational import RF_ONE, RF_ZERO, RationalFunction
 from .torus import (
@@ -34,7 +32,12 @@ from .torus import (
     central_to_delta_basis,
     is_central_monomial,
 )
-from .tower import StepGeneratorTable, embed, natural_candidates
+from .tower import (
+    StepGeneratorTable,
+    embed,
+    rebase_to_matrix_algebra,
+    solve_monomial_combination,
+)
 
 ALGEBRAS = {cls.ALG: cls for cls in (MatrixAlgebraElement, TorusElement)}
 
@@ -414,11 +417,7 @@ def mu_index_of_generator(n: int, i: int, a: int) -> int | None:
     return None
 
 
-def express_hh1(
-    table: StepGeneratorTable,
-    d: DerivationSpec,
-    box_margin: int = 1,
-) -> HH1Coordinates:
+def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     """Write a quantum-matrix derivation as ad_x + sum_j mu_j D_j.
 
     Lift to the torus, split off the inner part, read the mu weights from
@@ -446,7 +445,7 @@ def express_hh1(
                     f"weight of T({i},{a}) fails the row/column dictionary"
                 )
 
-    inner = _solve_inner_part(table, dec.x, margin=box_margin)
+    inner = _solve_inner_part(table, dec.x)
 
     residual = d - ad(inner)
     for j in range(1, 2 * n):
@@ -470,23 +469,20 @@ def _weighted_basis(
 
 
 def _solve_inner_part(
-    table: StepGeneratorTable, x_torus: TorusElement, margin: int = 1
+    table: StepGeneratorTable, x_torus: TorusElement
 ) -> MatrixAlgebraElement:
     """Find y in the quantum-matrix algebra whose embedded image equals the
     given element modulo central monomials.
 
-    Candidate monomials are enumerated by the row/column multidegrees of
-    the input (the embedding is bidegree-preserving), capped at the input's
-    positive exponent hull plus one.
+    Leading-term division against the non-central parts of the embedded
+    natural monomials.  No remainder has central terms, so the division
+    never picks a diagonal power (Y11...Ynn)^k.
     """
     ctx = table.ctx
-    if x_torus.is_zero():
-        return MatrixAlgebraElement(ctx)
-    candidates = natural_candidates(ctx, x_torus, margin)
-    images = []
-    for exp in candidates:
-        img = embed(table, MatrixAlgebraElement.monomial(ctx, exp))
-        noncentral = TorusElement(
+
+    def image(h):
+        img = embed(table, MatrixAlgebraElement.monomial(ctx, h))
+        return TorusElement(
             ctx,
             {
                 g: c
@@ -494,13 +490,8 @@ def _solve_inner_part(
                 if not is_central_monomial(ctx, g)
             },
         )
-        images.append(noncentral)
-    solution = solve_in_span(images, x_torus)
-    if solution is None:
-        raise NotInSpanError(
-            "inner part does not rebase into the algebra within the box"
-        )
-    return MatrixAlgebraElement(ctx, dict(zip(candidates, solution)))
+
+    return MatrixAlgebraElement(ctx, solve_monomial_combination(x_torus, image))
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +557,6 @@ def gl_express(
     factor = TorusElement.one(ctx)
     for _ in range(k):
         factor = factor * det_t
-    from .tower import rebase_to_matrix_algebra
-
     images = {}
     for gen in ctx.generators:
         img = d.images[gen]

@@ -27,8 +27,8 @@ class NotInLatticeError(QmatError):
 
 
 class NotInSpanError(QmatError):
-    """The element is not representable over the candidate monomials within
-    the given exponent box.  Inconclusive: a larger box may succeed."""
+    """The element is not representable over the admissible monomials: the
+    natural ones, or those in a given exponent box (a larger may succeed)."""
 
 
 class PivotNotMonomialError(QmatError):

@@ -1,6 +1,7 @@
 """Global term-count guard for potentially explosive products."""
 
 import os
+from contextlib import contextmanager
 
 from .errors import ResourceLimitError
 
@@ -18,6 +19,17 @@ def set_max_terms(value: int) -> None:
     if value < 1:
         raise ValueError("max terms must be positive")
     _max_terms = value
+
+
+@contextmanager
+def restored_max_terms():
+    """Restore the current term limit when the block exits, also on error."""
+    global _max_terms
+    saved = _max_terms
+    try:
+        yield
+    finally:
+        _max_terms = saved
 
 
 def check_terms(count: int, what: str = "product") -> None:

@@ -59,28 +59,6 @@ def solve_linear_system(
     return solution
 
 
-def solve_in_span(images, target) -> list[RationalFunction] | None:
-    """Coefficients c with target = sum_k c[k] * images[k], or None.
-
-    ``images`` and ``target`` are sparse elements of one algebra; each
-    monomial that occurs in any of them is one equation.
-    """
-    basis: dict = {}
-    for img in images:
-        for exp in img.terms:
-            basis.setdefault(exp, len(basis))
-    for exp in target.terms:
-        basis.setdefault(exp, len(basis))
-    matrix = [[None] * len(images) for _ in range(len(basis))]
-    for c, img in enumerate(images):
-        for exp, coeff in img.terms.items():
-            matrix[basis[exp]][c] = coeff
-    rhs = [None] * len(basis)
-    for exp, coeff in target.terms.items():
-        rhs[basis[exp]] = coeff
-    return solve_linear_system(matrix, rhs)
-
-
 def rational_rank(rows) -> int:
     """Rank over Q of an integer matrix given as a list of rows."""
     return len(_rref([[Fraction(c) for c in row] for row in rows]))

@@ -93,9 +93,9 @@ def element_from_json(data, alg: str | None = None, n: int | None = None):
             f"element is tagged {tag!r}, expected {alg!r}"
         )
     ctx = build_context(data["n"])
-    cls = ALGEBRAS[tag]
-    out = cls(ctx)
     _require(isinstance(data.get("terms"), list), "element needs a terms list")
+    # repeated exponents are summed; zero sums are dropped by the constructor
+    terms: dict = {}
     for term in data["terms"]:
         _require(isinstance(term, dict), "terms must be objects")
         _require("exp" in term and "coeff" in term, "term needs exp and coeff")
@@ -103,8 +103,9 @@ def element_from_json(data, alg: str | None = None, n: int | None = None):
         if tag == "Mq" and any(e < 0 for e in exp):
             raise ParseError("negative exponents are torus-only")
         coeff = rf_from_json(term["coeff"])
-        out = out + cls.monomial(ctx, exp, coeff)
-    return out
+        acc = terms.get(exp)
+        terms[exp] = coeff if acc is None else acc + coeff
+    return ALGEBRAS[tag](ctx, terms)
 
 
 def derivation_to_json(d: DerivationSpec) -> dict:

@@ -14,10 +14,11 @@ quantum-matrix algebra into the torus.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .context import AlgebraContext, GeneratorIndex, StepIndex
 from .errors import NotAMonomialError, NotInSpanError, PivotNotMonomialError
 from .limits import check_terms
-from .linalg import solve_in_span
 from .matrixalg import MatrixAlgebraElement, b_minor, qdet, relation_report
 from .rational import RationalFunction
 from .sparse import ExponentVector
@@ -185,17 +186,6 @@ def verify_forward_recursion(table: StepGeneratorTable) -> bool:
 # conversion back to step coordinates
 
 
-def _bidegree(ctx: AlgebraContext, exp: ExponentVector):
-    rows = [0] * ctx.n
-    cols = [0] * ctx.n
-    for k, e in enumerate(exp):
-        if e:
-            i, a = ctx.gen_at(k)
-            rows[i - 1] += e
-            cols[a - 1] += e
-    return tuple(rows), tuple(cols)
-
-
 def default_box(ctx: AlgebraContext, x: TorusElement, monomial_ok) -> list[tuple[int, int]]:
     """Componentwise exponent hull of the input, widened by one; negative
     lower bounds are clamped to zero wherever the step entry cannot be
@@ -216,6 +206,48 @@ def default_box(ctx: AlgebraContext, x: TorusElement, monomial_ok) -> list[tuple
     return box
 
 
+def is_natural(exp: ExponentVector) -> bool:
+    return min(exp) >= 0
+
+
+def solve_monomial_combination(
+    x: TorusElement, image, admissible=is_natural
+) -> dict[ExponentVector, RationalFunction]:
+    """Coefficients c with x = sum_h c[h] * image(h), by leading-term division.
+
+    Weight the generator (i, a) by i*a.  For i < j and a < b,
+    w(i,a) + w(j,b) - w(i,b) - w(j,a) = (j - i)(b - a) > 0, so each tower
+    correction cur(i,b) * T(j,b)^{-1} * cur(j,a) weighs less than T(i,a)
+    (the pivot is the single monomial T(j,b)).  By induction every entry at
+    every step is T(i,a) plus lighter terms, and an ordered step monomial
+    with exponents h is kappa*T^h plus lighter terms, kappa nonzero; this is
+    the shape ``image(h)`` must have.  Each term T^h of maximal weight in the
+    remainder is removed by subtracting (coeff / kappa) * image(h), so the
+    maximal weight drops.  A heaviest h that is not ``admissible`` raises
+    ``NotInSpanError``: the heaviest terms of a combination of images are
+    its own h, which also makes the result unique (PBW independence).
+    Images keep the row and column sums of h, so the division ends once the
+    admissible h of those sums are used up.
+    """
+    weights = [i * a for i, a in x.ctx.generators]
+    coords: dict[ExponentVector, RationalFunction] = {}
+    rest = x
+    while rest:
+        w = {h: sum(map(mul, weights, h)) for h in rest.terms}
+        top = max(w.values())
+        for h, c in [(h, c) for h, c in rest.terms.items() if w[h] == top]:
+            if not admissible(h):
+                raise NotInSpanError(
+                    f"leading exponent {h} is not an admissible monomial"
+                )
+            img = image(h)
+            coeff = c / img.terms[h]
+            coords[h] = coeff
+            rest = rest - img.scale(coeff)
+        check_terms(len(rest.terms), "rebase remainder")
+    return coords
+
+
 def rebase_to_step(
     table: StepGeneratorTable,
     step: StepIndex,
@@ -225,9 +257,10 @@ def rebase_to_step(
     """Expand a torus element over the step-generator PBW monomials whose
     exponents lie in the given per-generator box.
 
-    The result is unique when it exists (PBW independence); a
-    ``NotInSpanError`` only means the element is not representable within
-    this box.
+    The box is both the admissibility test and the termination bound of
+    the division.  The result is unique when it exists (PBW independence);
+    a ``NotInSpanError`` only means the element is not representable
+    within this box.
     """
     ctx = table.ctx
     entries = table.entries[step]
@@ -242,118 +275,20 @@ def rebase_to_step(
                 f"box allows negative exponents on non-invertible entry "
                 f"{ctx.gen_at(k)} at step {step}"
             )
-
-    candidates = _box_candidates(ctx, x, box)
-    return solve_monomial_combination(table, step, x, candidates)
-
-
-def solve_monomial_combination(
-    table: StepGeneratorTable,
-    step: StepIndex,
-    x: TorusElement,
-    candidates: list[ExponentVector],
-) -> dict[ExponentVector, RationalFunction]:
-    """Solve x = sum c_g * (embedded step monomial g) over the candidates."""
-    images = [embed_monomial_at_step(table, step, exp) for exp in candidates]
-    solution = solve_in_span(images, x)
-    if solution is None:
-        raise NotInSpanError(
-            "element is not a combination of step monomials within the box"
-        )
-    return {exp: coeff for exp, coeff in zip(candidates, solution) if coeff}
+    return solve_monomial_combination(
+        x,
+        lambda h: embed_monomial_at_step(table, step, h),
+        lambda h: all(lo <= e <= hi for e, (lo, hi) in zip(h, box)),
+    )
 
 
 def rebase_to_matrix_algebra(
     table: StepGeneratorTable, x: TorusElement
 ) -> MatrixAlgebraElement:
     """Express a torus element as an element of the quantum-matrix algebra
-    (top step, natural exponents only), enumerating candidate monomials by
-    the row/column multidegrees present in the input, capped at its
-    positive exponent hull plus one."""
+    (top step, natural exponents only)."""
     ctx = table.ctx
-    if x.is_zero():
-        return MatrixAlgebraElement(ctx)
-    candidates = natural_candidates(ctx, x, 1)
-    coords = solve_monomial_combination(table, ctx.top_step(), x, candidates)
+    coords = solve_monomial_combination(
+        x, lambda h: embed(table, MatrixAlgebraElement.monomial(ctx, h))
+    )
     return MatrixAlgebraElement(ctx, coords)
-
-
-def natural_candidates(
-    ctx: AlgebraContext, x: TorusElement, margin: int
-) -> list[ExponentVector]:
-    """Natural exponent vectors sharing their row and column sums with a
-    term of x (the embedding preserves this bidegree), capped entry-wise
-    at the input's positive exponent hull plus the margin."""
-    hull = [0] * (ctx.n * ctx.n)
-    for exp in x.terms:
-        rows, cols = _bidegree(ctx, exp)
-        if any(v < 0 for v in rows + cols):
-            raise NotInSpanError("input carries degrees impossible in the algebra")
-        for k, e in enumerate(exp):
-            hull[k] = max(hull[k], e)
-    return _box_candidates(ctx, x, [(0, h + margin) for h in hull])
-
-
-def _box_candidates(ctx: AlgebraContext, x: TorusElement, box) -> list[ExponentVector]:
-    """Exponent vectors within the box sharing their row and column sums
-    with a term of x, grouped by bidegree in sorted order."""
-    candidates = []
-    for rows, cols in sorted({_bidegree(ctx, exp) for exp in x.terms}):
-        candidates.extend(_boxed_margin_vectors(ctx, box, rows, cols))
-        check_terms(len(candidates), "rebase candidate enumeration")
-    return candidates
-
-
-def _vectors_with_sum(bounds, total):
-    """All integer vectors within the per-entry [lo, hi] bounds whose entries
-    sum to the given total."""
-    suffix_lo = [0] * (len(bounds) + 1)
-    suffix_hi = [0] * (len(bounds) + 1)
-    for k in range(len(bounds) - 1, -1, -1):
-        suffix_lo[k] = suffix_lo[k + 1] + bounds[k][0]
-        suffix_hi[k] = suffix_hi[k + 1] + bounds[k][1]
-    out = []
-
-    def rec(k, remaining, acc):
-        if k == len(bounds):
-            out.append(tuple(acc))
-            return
-        lo, hi = bounds[k]
-        for v in range(lo, hi + 1):
-            rest = remaining - v
-            if suffix_lo[k + 1] <= rest <= suffix_hi[k + 1]:
-                rec(k + 1, rest, acc + [v])
-
-    rec(0, total, [])
-    return out
-
-
-def _boxed_margin_vectors(ctx: AlgebraContext, box, rows, cols):
-    """All exponent vectors within the box with the given row and column
-    sums, assembled row by row with column-feasibility pruning."""
-    n = ctx.n
-    row_options = [
-        _vectors_with_sum(box[i * n : (i + 1) * n], rows[i]) for i in range(n)
-    ]
-    col_lo = [[0] * n for _ in range(n + 1)]
-    col_hi = [[0] * n for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for a in range(n):
-            col_lo[i][a] = col_lo[i + 1][a] + box[i * n + a][0]
-            col_hi[i][a] = col_hi[i + 1][a] + box[i * n + a][1]
-    out = []
-
-    def rec(i, cols_left, prefix):
-        if i == n:
-            if not any(cols_left):
-                out.append(tuple(prefix))
-            return
-        for row in row_options[i]:
-            nxt = [c - v for c, v in zip(cols_left, row)]
-            if all(
-                col_lo[i + 1][a] <= nxt[a] <= col_hi[i + 1][a] for a in range(n)
-            ):
-                rec(i + 1, nxt, prefix + list(row))
-
-    rec(0, list(cols), [])
-    return out

@@ -1,5 +1,6 @@
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -14,6 +15,11 @@ from qmat.torus import TorusElement
 
 SCHEMA_FILE = files("qmat") / "schemas" / "report.schema.json"
 ZERO_MQ = {"n": 2, "alg": "Mq", "terms": []}
+# `derivation hh1` specs and their recorded stdout; x in ad(x) holds qdet and
+# Y11...Ynn, which pins the inner representative
+HH1_CASES = json.loads(
+    (Path(__file__).parent / "golden" / "hh1_cli_cases.json").read_text()
+)
 
 
 def write_json(tmp_path, name, data):
@@ -154,6 +160,24 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["det", "--n", "2"], 0),
+            (["det", "--n", "5"], 1),
+            (["minor", "--n", "2", "--rows", "x", "--cols", "1"], 2),
+        ],
+        ids=["success", "term limit", "parse error"],
+    )
+    def test_max_terms_is_restored(self, capsys, argv, code):
+        saved = get_max_terms()
+        try:
+            assert main(["--max-terms", "100", *argv]) == code
+            assert get_max_terms() == saved
+        finally:
+            set_max_terms(saved)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
         "images",
         [
             [{"gen": [1, 1]}],
@@ -209,6 +233,13 @@ class TestDerivationCommands:
         assert code == 0
         got = json.loads(out)
         assert got["mu"] == [[], [], []]
+
+    @pytest.mark.parametrize("case", HH1_CASES, ids=[c["name"] for c in HH1_CASES])
+    def test_hh1_matches_golden(self, tmp_path, capsys, case):
+        path = write_json(tmp_path, "d.json", case["spec"])
+        code, out = run_cli(capsys, "derivation", "hh1", path)
+        assert code == 0
+        assert out == case["stdout"]
 
     def test_decompose_inner(self, tmp_path, capsys):
         ctx = build_context(2)

@@ -1,7 +1,6 @@
-"""Differential checks of the shared relation table, the single eliminator
-and the single candidate enumerator against independent oracles."""
+"""Differential checks of the shared relation table and the single
+eliminator against independent oracles."""
 
-import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +15,6 @@ from qmat.linalg import integer_kernel_basis, rational_rank, solve_linear_system
 from qmat.matrixalg import normalize_word
 from qmat.rational import RF_ONE, RF_ZERO, RationalFunction
 from qmat.torus import TorusElement
-from qmat.tower import _boxed_margin_vectors
 
 GOLDEN = Path(__file__).parent / "golden"
 Q = RationalFunction.q_power
@@ -136,33 +134,6 @@ def test_solve_detects_inconsistency():
     one = RF_ONE
     assert solve_linear_system([[one], [one]], [one, RF_ZERO]) is None
     assert solve_linear_system([[None, None]], [one]) is None
-
-
-# ---------------------------------------------------------------------------
-# the margin enumerator against brute force over a natural box
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_natural_margin_vectors_against_brute_force(data):
-    n = data.draw(st.sampled_from([2, 3]))
-    ctx = build_context(n)
-    caps = data.draw(
-        st.lists(st.integers(0, 2 if n == 2 else 1), min_size=n * n, max_size=n * n)
-    )
-    # margins of a vector in the box, so that the expected list is nonempty
-    seed = [data.draw(st.integers(0, c)) for c in caps]
-    rows = [sum(seed[i * n : (i + 1) * n]) for i in range(n)]
-    cols = [sum(seed[a::n]) for a in range(n)]
-    box = [(0, c) for c in caps]
-    expected = [
-        exp
-        for exp in itertools.product(*(range(c + 1) for c in caps))
-        if all(sum(exp[i * n : (i + 1) * n]) == rows[i] for i in range(n))
-        and all(sum(exp[a::n]) == cols[a] for a in range(n))
-    ]
-    assert tuple(seed) in expected
-    assert _boxed_margin_vectors(ctx, box, rows, cols) == expected
 
 
 # ---------------------------------------------------------------------------

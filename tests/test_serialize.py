@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmat.context import build_context
-from qmat.derivations import ad, basis_derivation, express_hh1
+from qmat.derivations import ALGEBRAS, ad, basis_derivation, express_hh1
 from qmat.errors import DimensionMismatchError, ParseError
 from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RationalFunction
@@ -100,6 +102,75 @@ class TestElements:
             rf_from_json({"num": ["x"], "den": [1]})
         with pytest.raises(ParseError):
             rf_from_json({"num": [1], "den": [0]})
+
+
+def _term(triples, num):
+    return {"exp": triples, "coeff": {"num": num, "den": [1]}}
+
+
+def _fold(data):
+    """The term-by-term sum element_from_json is checked against."""
+    ctx = build_context(data["n"])
+    cls = ALGEBRAS[data["alg"]]
+    out = cls(ctx)
+    for term in data["terms"]:
+        exp = [0] * (ctx.n * ctx.n)
+        for i, a, e in term["exp"]:
+            exp[ctx.flat(i, a)] += e
+        out = out + cls.monomial(ctx, tuple(exp), rf_from_json(term["coeff"]))
+    return out
+
+
+@st.composite
+def element_data(draw):
+    n = draw(st.sampled_from([2, 3]))
+    alg = draw(st.sampled_from(["Mq", "torus"]))
+    low = 0 if alg == "Mq" else -1
+    triple = st.tuples(
+        st.integers(1, n), st.integers(1, n), st.integers(low, 1)
+    ).map(list)
+    # few exponents and coefficients, so that repeats and cancellations occur
+    terms = draw(
+        st.lists(
+            st.builds(
+                _term,
+                st.lists(triple, max_size=2),
+                st.lists(st.integers(-2, 2), min_size=1, max_size=2),
+            ),
+            max_size=12,
+        )
+    )
+    return {"n": n, "alg": alg, "terms": terms}
+
+
+class TestTermFolding:
+    def test_repeated_exponents_are_summed(self):
+        data = {
+            "n": 2,
+            "alg": "Mq",
+            "terms": [_term([[1, 2, 1]], [1]), _term([[1, 2, 1]], [0, 2])],
+        }
+        ((exp, coeff),) = element_from_json(data).terms.items()
+        assert exp == (0, 1, 0, 0)
+        assert coeff == RationalFunction((1, 2), (1,))
+
+    def test_cancelling_pair_leaves_no_term(self):
+        data = {
+            "n": 2,
+            "alg": "torus",
+            "terms": [
+                _term([[2, 2, -1]], [3]),
+                _term([], [1]),
+                _term([[2, 2, -1]], [-3]),
+            ],
+        }
+        x = element_from_json(data)
+        assert x.terms == {(0, 0, 0, 0): RationalFunction.from_int(1)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(element_data())
+    def test_matches_term_by_term_sum(self, data):
+        assert element_from_json(data) == _fold(data)
 
 
 class TestDerivations:

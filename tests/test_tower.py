@@ -166,3 +166,72 @@ class TestRebase:
         ctx = t2.ctx
         x = qdet(ctx) + Y(ctx, 1, 2).scale(RationalFunction.q_power(2))
         assert rebase_to_matrix_algebra(t2, embed(t2, x)) == x
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rebase_to_matrix_algebra_with_qdet(self, n, t2, t3):
+        table = {2: t2, 3: t3}[n]
+        ctx = table.ctx
+        rng = random.Random(11)
+        det = qdet(ctx)
+        diagonal = MatrixAlgebraElement.one(ctx)
+        for i in range(1, n + 1):
+            diagonal = diagonal * Y(ctx, i, i)
+        gens = list(ctx.generators)
+        for _ in range(4):
+            x = (
+                det * Y(ctx, *rng.choice(gens)).scale(_coeff(rng))
+                + (det * det).scale(_coeff(rng))
+                + diagonal.scale(_coeff(rng))
+                + Y(ctx, *rng.choice(gens)) * Y(ctx, *rng.choice(gens))
+            )
+            assert rebase_to_matrix_algebra(table, embed(table, x)) == x
+
+    def test_rebase_to_matrix_algebra_rejects_negative_exponents(self, t2):
+        ctx = t2.ctx
+        with pytest.raises(NotInSpanError):
+            rebase_to_matrix_algebra(t2, T(ctx, 2, 2).invert_monomial())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_round_trip_at_every_step(self, n, t2, t3):
+        # random combinations of step monomials, with negative exponents on
+        # the entries that are single monomials at that step
+        table = {2: t2, 3: t3}[n]
+        ctx = table.ctx
+        rng = random.Random(7 + n)
+        nn = n * n
+        for step, entries in table.entries.items():
+            invertible = [entries[ctx.gen_at(k)].is_monomial() for k in range(nn)]
+            for _ in range(3):
+                expected = {}
+                for _ in range(3):
+                    exp = [0] * nn
+                    for _ in range(rng.randint(1, 3)):
+                        k = rng.randrange(nn)
+                        exp[k] += -1 if invertible[k] and rng.random() < 0.4 else 1
+                    expected[tuple(exp)] = _coeff(rng)
+                x = TorusElement(ctx)
+                for exp, c in expected.items():
+                    x = x + embed_monomial_at_step(table, step, exp).scale(c)
+                assert rebase_to_step(table, step, x) == expected
+
+
+def _coeff(rng):
+    return RationalFunction.from_int(rng.randint(1, 4)) * RationalFunction.q_power(
+        rng.randint(-2, 2)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_step_entries_are_triangular(n):
+    # weight i*a per generator: each entry is T(i,a) plus strictly lighter
+    # terms, which is what makes rebasing a leading-term division
+    ctx = build_context(n)
+    weights = [i * a for i, a in ctx.generators]
+    for step, entries in build_table(ctx).entries.items():
+        for (i, a), entry in entries.items():
+            lead = T(ctx, i, a)
+            ((lead_exp, _c),) = lead.terms.items()
+            assert lead_exp in entry.terms, (step, (i, a))
+            for exp in entry.terms:
+                if exp != lead_exp:
+                    assert sum(w * e for w, e in zip(weights, exp)) < i * a
