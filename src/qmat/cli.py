@@ -18,6 +18,7 @@ from .derivations import (
     express_hh1,
     failing_relations,
     lift_to_torus,
+    rejecting_non_derivations,
 )
 from .errors import (
     DimensionMismatchError,
@@ -26,7 +27,7 @@ from .errors import (
     ParseError,
     QmatError,
 )
-from .limits import restored_max_terms, set_max_terms
+from .limits import ENV_ERROR, restored_max_terms, set_max_terms
 from .matrixalg import qdet, qminor
 from .serialize import (
     derivation_from_json,
@@ -137,11 +138,13 @@ def cmd_derivation(args) -> int:
         return 0
     table = build_table(spec.ctx)
     if args.action == "decompose":
-        torus_spec = spec if spec.alg == "torus" else lift_to_torus(table, spec)
-        bad = failing_relations(check_derivation(torus_spec))
-        if bad:
-            raise NotADerivationError(f"images violate relations at pairs {bad}")
-        dec = decompose_torus_derivation(torus_spec)
+        # the decomposition rebuilds every image as ad_x + theta, which
+        # certifies the torus spec; lift_to_torus checks an Mq spec first
+        if spec.alg == "torus":
+            with rejecting_non_derivations(spec):
+                dec = decompose_torus_derivation(spec)
+        else:
+            dec = decompose_torus_derivation(lift_to_torus(table, spec))
         _emit(
             {
                 "x": element_to_json(dec.x),
@@ -239,6 +242,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with restored_max_terms():
+            if ENV_ERROR is not None:
+                raise ParseError(f"QMAT_MAX_TERMS: {ENV_ERROR}")
             if args.max_terms is not None:
                 try:
                     set_max_terms(args.max_terms)

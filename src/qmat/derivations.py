@@ -16,6 +16,8 @@ here:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from .context import AlgebraContext, GeneratorIndex
 from .errors import (
     ConditionViolatedError,
@@ -24,6 +26,7 @@ from .errors import (
     IndexOutOfRangeError,
     NotADerivationError,
     NotPolynomialError,
+    QmatError,
 )
 from .matrixalg import MatrixAlgebraElement, qdet, relation_report
 from .rational import RF_ONE, RF_ZERO, RationalFunction
@@ -164,6 +167,28 @@ def failing_relations(report: list[dict]) -> list:
     return [entry["pair"] for entry in report if not entry["ok"]]
 
 
+def require_derivation(d: DerivationSpec) -> None:
+    """Raise NotADerivationError naming every pair whose relation d breaks."""
+    bad = failing_relations(check_derivation(d))
+    if bad:
+        raise NotADerivationError(f"images violate relations at pairs {bad}")
+
+
+@contextmanager
+def rejecting_non_derivations(d: DerivationSpec):
+    """Run a computation whose success certifies that d is a derivation.
+
+    d is checked only if the block raises a QmatError: a broken relation
+    then raises NotADerivationError, and otherwise the block's own error
+    propagates.
+    """
+    try:
+        yield
+    except QmatError:
+        require_derivation(d)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # standard specs
 
@@ -179,6 +204,17 @@ def ad(x) -> DerivationSpec:
     return DerivationSpec(ctx, cls.ALG, images)
 
 
+def _basis_sign(n: int, j: int, i: int, a: int) -> int:
+    """The sign e in D_j(Y(i,a)) = e * Y(i,a), with e in {-1, 0, 1}."""
+    if j < n:
+        return 1 if a == n + 1 - j else 0
+    if j == n:
+        if (i, a) == (1, 1):
+            return 1
+        return -1 if i >= 2 and a >= 2 else 0
+    return 1 if i == j - n + 1 else 0
+
+
 def basis_derivation(ctx: AlgebraContext, j: int) -> DerivationSpec:
     """The j-th diagonal basis derivation D_j, 1 <= j <= 2n-1.
 
@@ -188,20 +224,12 @@ def basis_derivation(ctx: AlgebraContext, j: int) -> DerivationSpec:
     n = ctx.n
     if not (1 <= j <= 2 * n - 1):
         raise IndexOutOfRangeError(f"basis index {j} outside [1, {2 * n - 1}]")
-    images = {}
-    for (i, a) in ctx.generators:
-        g = MatrixAlgebraElement.generator(ctx, (i, a))
-        if j < n:
-            images[(i, a)] = g if a == n + 1 - j else MatrixAlgebraElement(ctx)
-        elif j == n:
-            if (i, a) == (1, 1):
-                images[(i, a)] = g
-            elif i >= 2 and a >= 2:
-                images[(i, a)] = g.scale(-RF_ONE)
-            else:
-                images[(i, a)] = MatrixAlgebraElement(ctx)
-        else:
-            images[(i, a)] = g if i == j - n + 1 else MatrixAlgebraElement(ctx)
+    images = {
+        gen: MatrixAlgebraElement.generator(ctx, gen).scale(
+            RationalFunction.from_int(_basis_sign(n, j, *gen))
+        )
+        for gen in ctx.generators
+    }
     return DerivationSpec(ctx, "Mq", images)
 
 
@@ -243,17 +271,24 @@ def check_z_condition(
 def lift_to_torus(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpec:
     """Unique torus extension of a quantum-matrix derivation.
 
+    d is checked first and rejected with NotADerivationError if it breaks
+    a relation; ``_lift`` builds the extension.
+    """
+    if d.alg != "Mq":
+        raise DimensionMismatchError("lift_to_torus expects a quantum-matrix spec")
+    require_derivation(d)
+    return _lift(table, d)
+
+
+def _lift(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpec:
+    """The torus extension of a quantum-matrix spec, without checking it.
+
     The images of the top-step entries are the embedded generator images;
     the tower recursion is then unwound step by step, differentiating the
     pivot inverses with D(t^{-1}) = -t^{-1} D(t) t^{-1}, until the bottom
     step, where the entries are the torus generators themselves.
     """
     ctx = table.ctx
-    if d.alg != "Mq":
-        raise DimensionMismatchError("lift_to_torus expects a quantum-matrix spec")
-    bad = failing_relations(check_derivation(d))
-    if bad:
-        raise NotADerivationError(f"images violate relations at pairs {bad}")
     cur = {gen: embed(table, d.images[gen]) for gen in ctx.generators}
     for idx in range(len(ctx.E) - 2, -1, -1):
         r = ctx.E[idx]
@@ -368,18 +403,16 @@ def _det_poly_of_central(z: TorusElement) -> DetPolynomial:
     return out
 
 
-def det_poly_element(ctx: AlgebraContext, p: DetPolynomial) -> MatrixAlgebraElement:
-    """The quantum-matrix element sum_k p[k] * det_q^k (k >= 0 required)."""
-    det = qdet(ctx)
-    out = MatrixAlgebraElement(ctx)
-    for k in sorted(p):
-        if k < 0:
-            raise NotPolynomialError("negative determinant power in the algebra")
-        power = MatrixAlgebraElement.one(ctx)
-        for _ in range(k):
-            power = power * det
-        out = out + power.scale(p[k])
-    return out
+def _det_add_into(
+    total: DetPolynomial, p: DetPolynomial, weight: RationalFunction
+) -> None:
+    """total += weight * p, dropping powers whose coefficient cancels."""
+    for k, c in p.items():
+        s = total.get(k, RF_ZERO) + c * weight
+        if s:
+            total[k] = s
+        else:
+            total.pop(k, None)
 
 
 class HH1Coordinates:
@@ -424,48 +457,86 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     the first row and first column of the central scaling, and verify both
     the dictionary consistency of the remaining weights and the exact
     generator-wise reconstruction.
+
+    The zero residual d - ad_x - sum_j mu_j(det_q) D_j on every generator
+    also proves that d is a derivation, so d is not checked up front: ad_x
+    is a derivation, so is each mu_j(det_q) D_j because det_q is central,
+    and a spec is fixed by its generator images, so d equals their sum.
+    Only if a step fails is d checked, and a broken relation then raises
+    NotADerivationError in place of the step's error.
     """
     ctx = table.ctx
     n = ctx.n
-    lifted = lift_to_torus(table, d)
-    dec = decompose_torus_derivation(lifted)
+    if d.alg != "Mq":
+        raise DimensionMismatchError("express_hh1 expects a quantum-matrix spec")
+    with rejecting_non_derivations(d):
+        dec = decompose_torus_derivation(_lift(table, d))
 
-    mu: list[DetPolynomial | None] = [None] * (2 * n - 1)
-    for (i, a), weight in dec.z.items():
-        j = mu_index_of_generator(n, i, a)
-        if j is not None:
-            mu[j - 1] = _det_poly_of_central(weight)
-    for (i, a), weight in dec.z.items():
-        if i >= 2 and a >= 2:
-            expected = (
-                dec.z[(1, a)] + dec.z[(i, 1)] - dec.z[(1, 1)]
-            )
-            if (weight - expected):
-                raise ConditionViolatedError(
-                    f"weight of T({i},{a}) fails the row/column dictionary"
+        mu: list[DetPolynomial | None] = [None] * (2 * n - 1)
+        for (i, a), weight in dec.z.items():
+            j = mu_index_of_generator(n, i, a)
+            if j is not None:
+                mu[j - 1] = _det_poly_of_central(weight)
+        for (i, a), weight in dec.z.items():
+            if i >= 2 and a >= 2:
+                expected = (
+                    dec.z[(1, a)] + dec.z[(i, 1)] - dec.z[(1, 1)]
                 )
+                if (weight - expected):
+                    raise ConditionViolatedError(
+                        f"weight of T({i},{a}) fails the row/column dictionary"
+                    )
+        mu = [m or {} for m in mu]
 
-    inner = _solve_inner_part(table, dec.x)
+        inner = _solve_inner_part(table, dec.x)
 
-    residual = d - ad(inner)
-    for j in range(1, 2 * n):
-        if mu[j - 1]:
-            residual = residual - _weighted_basis(ctx, j, mu[j - 1])
-    if not residual.is_zero():
-        raise ConditionViolatedError(
-            "reconstruction residual is nonzero"
-        )
-    return HH1Coordinates(ctx, inner, [m or {} for m in mu])
+        residual = d - ad(inner) - _weighted_basis_sum(ctx, mu)
+        if not residual.is_zero():
+            raise ConditionViolatedError(
+                "reconstruction residual is nonzero"
+            )
+    return HH1Coordinates(ctx, inner, mu)
 
 
 def _weighted_basis(
     ctx: AlgebraContext, j: int, weight: DetPolynomial
 ) -> DerivationSpec:
-    factor = det_poly_element(ctx, weight)
-    base = basis_derivation(ctx, j)
-    return DerivationSpec(
-        ctx, "Mq", {g: factor * v for g, v in base.images.items()}
+    """mu_j(det_q) * D_j for the one weight mu_j."""
+    return _weighted_basis_sum(
+        ctx, [weight if k == j else {} for k in range(1, 2 * ctx.n)]
     )
+
+
+def _weighted_basis_sum(
+    ctx: AlgebraContext, mu: list[DetPolynomial]
+) -> DerivationSpec:
+    """sum_j mu_j(det_q) * D_j, one product per generator.
+
+    D_j(g) = e_j(g) * g with e_j(g) in {-1, 0, 1}, so the image of g is
+    (sum_j e_j(g) mu_j)(det_q) * g; the powers of det_q are built once.
+    """
+    n = ctx.n
+    if any(k < 0 for m in mu for k in m):
+        raise NotPolynomialError("negative determinant power in the algebra")
+    powers = [MatrixAlgebraElement.one(ctx)]
+    top = max((k for m in mu for k in m), default=0)
+    if top:
+        det = qdet(ctx)
+        for _ in range(top):
+            powers.append(powers[-1] * det)
+    images = {}
+    for gen in ctx.generators:
+        weight: DetPolynomial = {}
+        for j, m in enumerate(mu, 1):
+            sign = _basis_sign(n, j, *gen)
+            if sign:
+                _det_add_into(weight, m, RationalFunction.from_int(sign))
+        if weight:
+            factor = MatrixAlgebraElement(ctx)
+            for k in sorted(weight):
+                factor = factor + powers[k].scale(weight[k])
+            images[gen] = factor * MatrixAlgebraElement.generator(ctx, gen)
+    return DerivationSpec(ctx, "Mq", images)
 
 
 def _solve_inner_part(
@@ -531,12 +602,7 @@ def mu_sum_constraint(coords: HH1Coordinates) -> bool:
     total: DetPolynomial = {}
     for j, m in enumerate(coords.mu, 1):
         weight = RationalFunction.from_int(2 - n) if j == n else RF_ONE
-        for k, c in m.items():
-            s = total.get(k, RF_ZERO) + c * weight
-            if s:
-                total[k] = s
-            else:
-                total.pop(k, None)
+        _det_add_into(total, m, weight)
     return not total
 
 

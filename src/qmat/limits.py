@@ -7,7 +7,27 @@ from .errors import ResourceLimitError
 
 _DEFAULT = 200_000
 
-_max_terms = int(os.environ.get("QMAT_MAX_TERMS", _DEFAULT))
+
+def _positive(value: int) -> int:
+    """The one rule for a term limit, from --max-terms or QMAT_MAX_TERMS."""
+    if value < 1:
+        raise ValueError("max terms must be positive")
+    return value
+
+
+def _from_env() -> tuple[int, str | None]:
+    """The limit set by QMAT_MAX_TERMS and the reason it is invalid, if it
+    is; an invalid value leaves the default in force."""
+    text = os.environ.get("QMAT_MAX_TERMS")
+    if text is None:
+        return _DEFAULT, None
+    try:
+        return _positive(int(text)), None
+    except ValueError:
+        return _DEFAULT, f"expected a positive integer, got {text!r}"
+
+
+_max_terms, ENV_ERROR = _from_env()
 
 
 def get_max_terms() -> int:
@@ -16,9 +36,7 @@ def get_max_terms() -> int:
 
 def set_max_terms(value: int) -> None:
     global _max_terms
-    if value < 1:
-        raise ValueError("max terms must be positive")
-    _max_terms = value
+    _max_terms = _positive(value)
 
 
 @contextmanager

@@ -182,7 +182,9 @@ def run_suite(n: int, canonical: bool = False, seed: int = 20240) -> Verificatio
     table = build_table(ctx)
     rng = random.Random(seed + n)
     report = VerificationReport(n, canonical=canonical)
-    heavy = n <= 3
+    # the costly checks (HH¹ coordinates, round trips, rebase) run for
+    # n <= 4; the gate only bites once SUITE_MAX_N is raised past 4
+    heavy = n <= 4
 
     def failing(entries):
         bad = [e for e in entries if not e["ok"]]

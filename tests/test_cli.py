@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -7,12 +10,19 @@ import pytest
 
 from qmat.cli import main
 from qmat.context import build_context
-from qmat.derivations import DerivationSpec, ad, basis_derivation
+from qmat.derivations import (
+    DerivationSpec,
+    ad,
+    basis_derivation,
+    check_derivation,
+    failing_relations,
+)
 from qmat.limits import get_max_terms, set_max_terms
 from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.serialize import derivation_to_json, element_to_json
 from qmat.torus import TorusElement
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_FILE = files("qmat") / "schemas" / "report.schema.json"
 ZERO_MQ = {"n": 2, "alg": "Mq", "terms": []}
 # `derivation hh1` specs and their recorded stdout; x in ad(x) holds qdet and
@@ -212,6 +222,64 @@ class TestExitCodes:
         assert code == 4
         code, _ = run_cli(capsys, "derivation", "check", path)
         assert code == 4
+
+
+    def test_hh1_not_a_derivation(self, tmp_path, capsys):
+        ctx = build_context(3)
+        images = {(2, 3): Y(ctx, 2, 3)}
+        spec = DerivationSpec(ctx, "Mq", images)
+        path = write_json(tmp_path, "d.json", derivation_to_json(spec))
+        code = main(["derivation", "hh1", path])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error: images violate relations")
+
+    def test_torus_decompose_not_a_derivation(self, tmp_path, capsys):
+        ctx = build_context(2)
+        t22 = TorusElement.generator(ctx, (2, 2))
+        spec = DerivationSpec(ctx, "torus", {gen: t22 for gen in ctx.generators})
+        bad = failing_relations(check_derivation(spec))
+        assert bad
+        path = write_json(tmp_path, "d.json", derivation_to_json(spec))
+        code = main(["derivation", "decompose", path])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"error: images violate relations at pairs {bad}\n"
+
+
+class TestMaxTermsEnvironment:
+    """QMAT_MAX_TERMS follows the --max-terms rule; it is read at import, so
+    each case runs in its own interpreter."""
+
+    def run(self, value, *args):
+        env = dict(os.environ, QMAT_MAX_TERMS=value)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_value_exits_2(self, value):
+        proc = self.run(value, "-m", "qmat", "det", "--n", "2")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: QMAT_MAX_TERMS: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_invalid_value_does_not_break_import(self):
+        proc = self.run("abc", "-c", "import qmat")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_valid_value_is_the_limit(self):
+        # qdet at n = 3 has 3! = 6 terms
+        ok = self.run("6", "-m", "qmat", "det", "--n", "3")
+        assert ok.returncode == 0, ok.stderr
+        assert len(json.loads(ok.stdout)["terms"]) == 6
+        tripped = self.run("5", "-m", "qmat", "det", "--n", "3")
+        assert tripped.returncode == 1 and tripped.stdout == ""
+        assert "term limit (6 > 5)" in tripped.stderr
 
 
 class TestDerivationCommands:
