@@ -30,11 +30,8 @@ from .errors import (
 )
 from .matrixalg import MatrixAlgebraElement, qdet, relation_report
 from .rational import RF_ONE, RF_ZERO, RationalFunction
-from .torus import (
-    TorusElement,
-    central_to_delta_basis,
-    is_central_monomial,
-)
+from .sparse import add_into
+from .torus import TorusElement, delta_exponents, is_central_monomial
 from .tower import (
     StepGeneratorTable,
     embed,
@@ -135,7 +132,8 @@ def leibniz_extend(d: DerivationSpec, x):
             for _ in range(count):
                 deriv = deriv * factor + value * dfactor
                 value = value * factor
-        out = out + deriv.scale(coeff)
+        for e, c in deriv.terms.items():
+            add_into(out.terms, e, c * coeff)
     return out
 
 
@@ -329,25 +327,16 @@ class TorusDecomposition:
         self.z = z
 
 
-def _scaling_factor(ctx: AlgebraContext, gamma, fa: int) -> RationalFunction:
-    """Coefficient of T^gamma in ad_{T^gamma}(T_a) * T_a^{-1}."""
-    eps = [0] * (ctx.n * ctx.n)
-    eps[fa] = 1
-    eps = tuple(eps)
-    t = TorusElement.monomial(ctx, gamma)
-    ta = TorusElement.monomial(ctx, eps)
-    w = (t * ta - ta * t) * ta.invert_monomial()
-    return w.terms.get(gamma, RF_ZERO)
-
-
 def decompose_torus_derivation(d: DerivationSpec) -> TorusDecomposition:
     """Constructive splitting of a torus derivation as ad_x + theta.
 
     For each generator a, d(T_a) T_a^{-1} = sum_g c_{a,g} T^g; a central
     exponent g contributes c_{a,g} T^g to z_a, and a non-central one
     determines x_g = c_{a,g} / kappa through the first generator that
-    fails to commute with T^g.  Reconstruction is verified on every
-    generator, which also certifies cross-generator consistency.
+    fails to commute with T^g.  Since T_a T^g = q^{(B.g)_a} T^g T_a, the
+    coefficient of T^g in ad_{T^g}(T_a) T_a^{-1} is kappa = 1 - q^{(B.g)_a}.
+    Reconstruction is verified on every generator, which also certifies
+    cross-generator consistency.
     """
     ctx = d.ctx
     if d.alg != "torus":
@@ -356,17 +345,17 @@ def decompose_torus_derivation(d: DerivationSpec) -> TorusDecomposition:
         )
     z: dict[GeneratorIndex, TorusElement] = {}
     x_terms: dict = {}
-    for fa, gen in enumerate(ctx.generators):
+    for row, gen in zip(ctx.B, ctx.generators):
         ta = TorusElement.generator(ctx, gen)
         w = d.images[gen] * ta.invert_monomial()
         za = TorusElement(ctx)
         for gamma, coeff in w.terms.items():
             if is_central_monomial(ctx, gamma):
-                za = za + TorusElement.monomial(ctx, gamma, coeff)
+                za.terms[gamma] = coeff
             elif gamma not in x_terms:
-                kappa = _scaling_factor(ctx, gamma, fa)
-                if kappa:
-                    x_terms[gamma] = coeff / kappa
+                e = sum(b * g for b, g in zip(row, gamma) if g)
+                if e:
+                    x_terms[gamma] = coeff / (RF_ONE - RationalFunction.q_power(e))
         z[gen] = za
     x = TorusElement(ctx, x_terms)
     for gen in ctx.generators:
@@ -387,32 +376,26 @@ DetPolynomial = dict[int, RationalFunction]
 
 
 def _det_poly_of_central(z: TorusElement) -> DetPolynomial:
-    """Read a central torus element as a polynomial in the full central
-    monomial Delta_n."""
+    """Read a torus element on the ray of the full central monomial Delta_n
+    (the diagonal) as a polynomial in Delta_n.
+
+    A term c T^{k delta_n} reads as {k: c}: B vanishes between distinct
+    diagonal generators, so Delta_n^k = T^{k delta_n} with coefficient 1.
+    """
+    diagonal = delta_exponents(z.ctx, z.ctx.n)
     out: DetPolynomial = {}
-    for k, coeff in central_to_delta_basis(z).items():
-        if any(k[:-1]):
+    for exp, coeff in z.terms.items():
+        k = exp[0]
+        if exp != tuple(k * e for e in diagonal):
             raise ConditionViolatedError(
-                f"central weight involves a non-determinant lattice direction: {k}"
+                f"central weight {exp} is off the determinant ray"
             )
-        if k[-1] < 0:
+        if k < 0:
             raise NotPolynomialError(
-                f"central weight has negative determinant power {k[-1]}"
+                f"central weight has negative determinant power {k}"
             )
-        out[k[-1]] = coeff
+        out[k] = coeff
     return out
-
-
-def _det_add_into(
-    total: DetPolynomial, p: DetPolynomial, weight: RationalFunction
-) -> None:
-    """total += weight * p, dropping powers whose coefficient cancels."""
-    for k, c in p.items():
-        s = total.get(k, RF_ZERO) + c * weight
-        if s:
-            total[k] = s
-        else:
-            total.pop(k, None)
 
 
 class HH1Coordinates:
@@ -530,11 +513,13 @@ def _weighted_basis_sum(
         for j, m in enumerate(mu, 1):
             sign = _basis_sign(n, j, *gen)
             if sign:
-                _det_add_into(weight, m, RationalFunction.from_int(sign))
+                for k, c in m.items():
+                    add_into(weight, k, c if sign > 0 else -c)
         if weight:
             factor = MatrixAlgebraElement(ctx)
-            for k in sorted(weight):
-                factor = factor + powers[k].scale(weight[k])
+            for k, c in weight.items():
+                for e, ce in powers[k].terms.items():
+                    add_into(factor.terms, e, ce * c)
             images[gen] = factor * MatrixAlgebraElement.generator(ctx, gen)
     return DerivationSpec(ctx, "Mq", images)
 
@@ -602,7 +587,8 @@ def mu_sum_constraint(coords: HH1Coordinates) -> bool:
     total: DetPolynomial = {}
     for j, m in enumerate(coords.mu, 1):
         weight = RationalFunction.from_int(2 - n) if j == n else RF_ONE
-        _det_add_into(total, m, weight)
+        for k, c in m.items():
+            add_into(total, k, c * weight)
     return not total
 
 

@@ -17,10 +17,6 @@ class NotAMonomialError(QmatError):
     """Inversion was requested for an element with more than one term."""
 
 
-class NotCentralError(QmatError):
-    """An element expected to be central has a non-central monomial."""
-
-
 class NotInLatticeError(QmatError):
     """A central exponent vector is not an integer combination of the
     distinguished central monomials.  Signals an internal inconsistency."""

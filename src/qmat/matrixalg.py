@@ -24,7 +24,7 @@ from .context import AlgebraContext
 from .errors import IndexOutOfRangeError
 from .limits import check_terms
 from .rational import RF_ONE, RationalFunction
-from .sparse import ExponentVector, SparseElement
+from .sparse import ExponentVector, SparseElement, add_into
 
 # q - q^{-1}, the coefficient of the cross term in the defining relations
 QDIFF = RationalFunction.q_power(1) - RationalFunction.q_power(-1)
@@ -52,25 +52,17 @@ def normalize_word(ctx: AlgebraContext, word) -> dict[ExponentVector, RationalFu
     pending: dict[tuple[int, ...], RationalFunction] = {tuple(word): RF_ONE}
     done: dict[ExponentVector, RationalFunction] = {}
 
-    def _accumulate(store, key, coeff):
-        acc = store.get(key)
-        s = coeff if acc is None else acc + coeff
-        if s:
-            store[key] = s
-        elif acc is not None:
-            del store[key]
-
     while pending:
         w, c = pending.popitem()
         k = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
         if k is None:
-            _accumulate(done, _exp_of(nn, w), c)
+            add_into(done, _exp_of(nn, w), c)
             continue
         u, v = w[k], w[k + 1]
         e, cross = relations[u][v]
-        _accumulate(pending, w[:k] + (v, u) + w[k + 2 :], c.times_q_power(e))
+        add_into(pending, w[:k] + (v, u) + w[k + 2 :], c.times_q_power(e))
         if cross:
-            _accumulate(pending, w[:k] + cross + w[k + 2 :], c * _MINUS_QDIFF)
+            add_into(pending, w[:k] + cross + w[k + 2 :], c * _MINUS_QDIFF)
         check_terms(len(pending) + len(done), "straightening")
     return done
 
@@ -127,12 +119,7 @@ class MatrixAlgebraElement(SparseElement):
             for d, cd in other.terms.items():
                 c = cg * cd
                 for exp, coeff in normalize_word(ctx, wg + _word_of(d)).items():
-                    prev = acc.get(exp)
-                    s = c * coeff if prev is None else prev + c * coeff
-                    if s:
-                        acc[exp] = s
-                    elif prev is not None:
-                        del acc[exp]
+                    add_into(acc, exp, c * coeff)
                 check_terms(len(acc), "quantum-matrix product")
         return out
 

@@ -209,9 +209,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == _P_ONE and self.den == _P_ONE
-
     def __bool__(self) -> bool:
         return bool(self.num)
 

@@ -12,6 +12,7 @@ from .context import AlgebraContext, build_context
 from .derivations import ALGEBRAS, DerivationSpec, DetPolynomial, HH1Coordinates
 from .errors import DimensionMismatchError, ParseError
 from .rational import RationalFunction
+from .sparse import add_into
 
 
 def _require(cond: bool, message: str) -> None:
@@ -94,7 +95,7 @@ def element_from_json(data, alg: str | None = None, n: int | None = None):
         )
     ctx = build_context(data["n"])
     _require(isinstance(data.get("terms"), list), "element needs a terms list")
-    # repeated exponents are summed; zero sums are dropped by the constructor
+    # repeated exponents are summed and zero sums dropped
     terms: dict = {}
     for term in data["terms"]:
         _require(isinstance(term, dict), "terms must be objects")
@@ -102,9 +103,7 @@ def element_from_json(data, alg: str | None = None, n: int | None = None):
         exp = _exp_from_triples(ctx, term["exp"])
         if tag == "Mq" and any(e < 0 for e in exp):
             raise ParseError("negative exponents are torus-only")
-        coeff = rf_from_json(term["coeff"])
-        acc = terms.get(exp)
-        terms[exp] = coeff if acc is None else acc + coeff
+        add_into(terms, exp, rf_from_json(term["coeff"]))
     return ALGEBRAS[tag](ctx, terms)
 
 

@@ -25,6 +25,16 @@ def unit_exponent(ctx: AlgebraContext, gen: GeneratorIndex) -> ExponentVector:
     return (0,) * k + (1,) + (0,) * (nn - k - 1)
 
 
+def add_into(terms: dict, key, coeff: RationalFunction) -> None:
+    """terms[key] += coeff, dropping the key when the sum is zero."""
+    acc = terms.get(key)
+    s = coeff if acc is None else acc + coeff
+    if s:
+        terms[key] = s
+    elif acc is not None:
+        del terms[key]
+
+
 def _describe(x) -> str:
     if isinstance(x, SparseElement):
         return f"{type(x).__name__} (n = {x.ctx.n})"
@@ -98,12 +108,7 @@ class SparseElement:
         out = type(self)(self.ctx)
         out.terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            acc = out.terms.get(exp)
-            s = coeff if acc is None else acc + coeff
-            if s:
-                out.terms[exp] = s
-            elif acc is not None:
-                del out.terms[exp]
+            add_into(out.terms, exp, coeff)
         return out
 
     def __neg__(self):

@@ -16,6 +16,8 @@ from itertools import product as _iproduct
 
 from .context import build_context
 from .derivations import (
+    DerivationSpec,
+    _weighted_basis,
     ad,
     basis_derivation,
     central_scaling_spec,
@@ -55,6 +57,7 @@ from .tower import (
 )
 
 SUITE_MAX_N = 4
+SUITE_SEED = 20240
 
 
 class VerificationReport:
@@ -173,14 +176,14 @@ def _random_mu_poly(ctx, rng: random.Random, max_degree: int = 1) -> dict:
 # suite body
 
 
-def run_suite(n: int, canonical: bool = False, seed: int = 20240) -> VerificationReport:
+def run_suite(n: int, canonical: bool = False) -> VerificationReport:
     if not (2 <= n <= SUITE_MAX_N):
         raise ResourceLimitError(
             f"verification suite is capped at 2 <= n <= {SUITE_MAX_N}, got {n}"
         )
     ctx = build_context(n)
     table = build_table(ctx)
-    rng = random.Random(seed + n)
+    rng = random.Random(SUITE_SEED + n)
     report = VerificationReport(n, canonical=canonical)
     # the costly checks (HH¹ coordinates, round trips, rebase) run for
     # n <= 4; the gate only bites once SUITE_MAX_N is raised past 4
@@ -319,8 +322,6 @@ def run_suite(n: int, canonical: bool = False, seed: int = 20240) -> Verificatio
             gen: MatrixAlgebraElement.generator(ctx, gen).scale(weights[gen])
             for gen in ctx.generators
         }
-        from .derivations import DerivationSpec
-
         return DerivationSpec(ctx, "Mq", images)
 
     def z_condition_check():
@@ -406,8 +407,6 @@ def run_suite(n: int, canonical: bool = False, seed: int = 20240) -> Verificatio
                 for j in range(1, 2 * n):
                     mu = _random_mu_poly(ctx, rng)
                     if mu:
-                        from .derivations import _weighted_basis
-
                         d = d + _weighted_basis(ctx, j, mu)
                 express_hh1(table, d)  # raises on any reconstruction failure
             return True

@@ -17,15 +17,10 @@ from __future__ import annotations
 from operator import add
 
 from .context import AlgebraContext
-from .errors import (
-    IndexOutOfRangeError,
-    NotAMonomialError,
-    NotCentralError,
-    NotInLatticeError,
-)
+from .errors import IndexOutOfRangeError, NotAMonomialError, NotInLatticeError
 from .limits import check_terms
 from .rational import RationalFunction
-from .sparse import ExponentVector, SparseElement
+from .sparse import ExponentVector, SparseElement, add_into
 
 
 def commutation_exponent(
@@ -87,13 +82,7 @@ class TorusElement(SparseElement):
                 e = sum([w[a] * da for a, da in support])
                 if e:
                     coeff = coeff.times_q_power(e)
-                exp = tuple(map(add, g, d))
-                acc = out.get(exp)
-                s = coeff if acc is None else acc + coeff
-                if s:
-                    out[exp] = s
-                elif acc is not None:
-                    del out[exp]
+                add_into(out, tuple(map(add, g, d)), coeff)
         check_terms(len(out), "torus product")
         result = TorusElement(ctx)
         result.terms = out
@@ -158,44 +147,6 @@ def delta_lattice_coordinates(
             f"exponent vector {g} is not in the central lattice"
         )
     return tuple(k)
-
-
-def _delta_product(ctx: AlgebraContext, k: tuple[int, ...]) -> TorusElement:
-    """The ordered product Delta_1^{k_1} ... Delta_n^{k_n}."""
-    prod = TorusElement.one(ctx)
-    for i in range(1, ctx.n + 1):
-        if k[i - 1]:
-            d = delta_exponents(ctx, i)
-            prod = prod * TorusElement.monomial(ctx, tuple(e * k[i - 1] for e in d))
-    return prod
-
-
-def central_to_delta_basis(x: TorusElement) -> dict[tuple[int, ...], RationalFunction]:
-    """Express a central element as a Laurent polynomial in the distinguished
-    central monomials.  Coefficients are adjusted so that the ordered
-    reconstruction product reproduces the input exactly."""
-    ctx = x.ctx
-    out: dict[tuple[int, ...], RationalFunction] = {}
-    for exp, coeff in x.terms.items():
-        if not is_central_monomial(ctx, exp):
-            raise NotCentralError(f"monomial {exp} is not central")
-        k = delta_lattice_coordinates(ctx, exp)
-        # ordered product Delta_1^{k_1} ... Delta_n^{k_n} = q^c T^exp
-        prod = _delta_product(ctx, k)
-        (pexp, pcoeff), = prod.terms.items()
-        assert pexp == exp
-        out[k] = coeff / pcoeff
-    return out
-
-
-def delta_basis_to_element(
-    ctx: AlgebraContext, coords: dict[tuple[int, ...], RationalFunction]
-) -> TorusElement:
-    """Inverse of :func:`central_to_delta_basis`."""
-    out = TorusElement(ctx)
-    for k, coeff in coords.items():
-        out = out + _delta_product(ctx, k).scale(coeff)
-    return out
 
 
 # ---------------------------------------------------------------------------

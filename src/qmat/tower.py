@@ -21,7 +21,7 @@ from .errors import NotAMonomialError, NotInSpanError, PivotNotMonomialError
 from .limits import check_terms
 from .matrixalg import MatrixAlgebraElement, b_minor, qdet, relation_report
 from .rational import RationalFunction
-from .sparse import ExponentVector
+from .sparse import ExponentVector, add_into
 from .torus import TorusElement
 
 
@@ -106,7 +106,8 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
         if img is None:
             img = embed_monomial_at_step(table, top, exp)
             cache[exp] = img
-        out = out + img.scale(coeff)
+        for e, c in img.terms.items():
+            add_into(out.terms, e, c * coeff)
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
+    _det_poly_of_central,
     _weighted_basis,
     ad,
     annihilates_qdet,
@@ -22,13 +23,15 @@ from qmat.derivations import (
     sl_basis_derivation,
 )
 from qmat.errors import (
+    ConditionViolatedError,
     InconsistentDecompositionError,
     IndexOutOfRangeError,
     NotADerivationError,
+    NotPolynomialError,
 )
 from qmat.matrixalg import MatrixAlgebraElement, qdet
-from qmat.rational import RF_ONE, RationalFunction
-from qmat.torus import TorusElement, delta_element
+from qmat.rational import RF_ONE, RF_ZERO, RationalFunction
+from qmat.torus import TorusElement, delta_element, is_central_monomial
 from qmat.tower import build_table, embed
 
 
@@ -259,6 +262,63 @@ class TestDecompose:
         images = {gen: T(ctx, 2, 2) for gen in ctx.generators}
         with pytest.raises(InconsistentDecompositionError):
             decompose_torus_derivation(DerivationSpec(ctx, "torus", images))
+
+
+def _random_exponents(ctx, rng, count):
+    nn = ctx.n * ctx.n
+    return [tuple(rng.randint(-2, 2) for _ in range(nn)) for _ in range(count)]
+
+
+class TestScalingFactor:
+    """kappa = 1 - q^{(B.gamma)_a}, read off B, against torus products."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kappa_matches_product_formula(self, n):
+        ctx = build_context(n)
+        rng = random.Random(70 + n)
+        for gamma in _random_exponents(ctx, rng, 6):
+            t = TorusElement.monomial(ctx, gamma)
+            for row, gen in zip(ctx.B, ctx.generators):
+                ta = TorusElement.generator(ctx, gen)
+                w = (t * ta - ta * t) * ta.invert_monomial()
+                e = sum(b * g for b, g in zip(row, gamma))
+                kappa = RF_ONE - RationalFunction.q_power(e)
+                assert w.terms.get(gamma, RF_ZERO) == kappa
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_monomial_inner_part_recovered(self, n):
+        ctx = build_context(n)
+        rng = random.Random(80 + n)
+        for gamma in _random_exponents(ctx, rng, 6):
+            if is_central_monomial(ctx, gamma):
+                continue
+            x = TorusElement.monomial(ctx, gamma, RationalFunction.q_power(2))
+            dec = decompose_torus_derivation(ad(x))
+            assert dec.x == x
+            assert all(z.is_zero() for z in dec.z.values())
+
+
+class TestDetPolyOfCentral:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_det_power_reads_its_exponent(self, n):
+        ctx = build_context(n)
+        c = RationalFunction((1, 2), (3,))
+        power = TorusElement.one(ctx)
+        for k in range(4):
+            assert _det_poly_of_central(power.scale(c)) == {k: c}
+            power = power * delta_element(ctx, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_other_central_direction_rejected(self, n):
+        ctx = build_context(n)
+        with pytest.raises(ConditionViolatedError):
+            _det_poly_of_central(delta_element(ctx, 1))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negative_det_power_rejected(self, n):
+        ctx = build_context(n)
+        with pytest.raises(NotPolynomialError):
+            _det_poly_of_central(delta_element(ctx, n).invert_monomial())
 
 
 class TestExpress:

@@ -6,16 +6,13 @@ from qmat.context import build_context
 from qmat.errors import (
     IndexOutOfRangeError,
     NotAMonomialError,
-    NotCentralError,
     NotInLatticeError,
 )
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.torus import (
     SubalgebraPattern,
     TorusElement,
-    central_to_delta_basis,
     commutation_exponent,
-    delta_basis_to_element,
     delta_element,
     delta_exponents,
     delta_lattice_coordinates,
@@ -163,19 +160,6 @@ class TestDeltaLattice:
         ctx = build_context(2)
         with pytest.raises(NotInLatticeError):
             delta_lattice_coordinates(ctx, (1, 0, 0, 0))
-
-    def test_central_round_trip(self):
-        ctx = build_context(2)
-        x = delta_element(ctx, 1).scale(RationalFunction.q_power(3)) + (
-            delta_element(ctx, 2) * delta_element(ctx, 2)
-        )
-        coords = central_to_delta_basis(x)
-        assert delta_basis_to_element(ctx, coords) == x
-
-    def test_non_central_rejected(self):
-        ctx = build_context(2)
-        with pytest.raises(NotCentralError):
-            central_to_delta_basis(TorusElement.generator(ctx, (1, 1)))
 
 
 class TestPatterns:
