@@ -1,10 +1,16 @@
 """Exact arithmetic in the coefficient field Q(q).
 
-Elements are reduced quotients of integer-coefficient polynomials in the
-single variable q.  Polynomials are stored as tuples of coefficients in
-ascending degree with no trailing zeros; the zero polynomial is the empty
-tuple.  After reduction the denominator has positive leading coefficient,
-which makes the representation unique and equality component-wise.
+A nonzero element is stored as q^v * p / r with v an integer and p, r
+integer polynomials in q: tuples of coefficients in ascending degree, with
+no trailing zeros and a nonzero constant term, gcd(p, r) = 1 in Z[q] and
+r's leading coefficient positive.  Zero is (0, (), (1,)).  The form is
+unique, so equality is component-wise; the reduced quotient num/den is
+num = q^max(v, 0) * p, den = q^max(-v, 0) * r.
+
+Laurent polynomials (r = (1,)) are closed under +, - and * with no gcd
+and no zero padding, and multiplying by q^e adds e to v.  A gcd runs only
+when a denominator is not 1: the integer content when p or r is a
+constant, the primitive-PRS gcd in Z[q] otherwise.
 """
 
 from __future__ import annotations
@@ -23,13 +29,16 @@ def _trim(coeffs) -> tuple:
     return tuple(coeffs[:i])
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
+def _unit_part(coeffs) -> tuple[int, tuple]:
+    """(s, u) with coeffs = q^s * u, u trimmed with a nonzero constant
+    term; u = () when coeffs is zero."""
+    i = len(coeffs)
+    while i and not coeffs[i - 1]:
+        i -= 1
+    s = 0
+    while s < i and not coeffs[s]:
+        s += 1
+    return s, tuple(coeffs[s:i])
 
 
 def _pneg(a):
@@ -37,28 +46,14 @@ def _pneg(a):
 
 
 def _pmul(a, b):
-    if not a or not b:
-        return ()
+    """Product of two nonzero trimmed polynomials, which is trimmed."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in enumerate(b, i):
                 if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _pscale(a, k: int):
-    if k == 0:
-        return ()
-    return tuple(c * k for c in a)
-
-
-def _content(a) -> int:
-    g = 0
-    for c in a:
-        g = _int_gcd(g, c)
-    return g
+                    out[j] += x * y
+    return tuple(out)
 
 
 def _pdiv_exact(a, b):
@@ -101,91 +96,91 @@ def _pseudo_rem(a, b):
 
 
 def _pgcd(a, b):
-    """Gcd in Z[q], primitive-PRS Euclid; leading coefficient positive."""
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        ca, cb = _content(a), _content(b)
-        g_cont = _int_gcd(ca, cb)
-        a = tuple(c // ca for c in a)
-        b = tuple(c // cb for c in b)
-        while b:
-            if len(a) < len(b):
-                a, b = b, a
-                continue
-            r = _pseudo_rem(a, b)
-            if r:
-                cr = _content(r)
-                r = tuple(c // cr for c in r)
-            a, b = b, r
-        g = _pscale(a, g_cont)
-    if g and g[-1] < 0:
-        g = _pneg(g)
-    return g if g else (1,)
+    """Gcd in Z[q] of two nonzero polynomials, primitive-PRS Euclid;
+    leading coefficient positive."""
+    ca, cb = _int_gcd(*a), _int_gcd(*b)
+    g_cont = _int_gcd(ca, cb)
+    a = tuple(c // ca for c in a)
+    b = tuple(c // cb for c in b)
+    while b:
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        r = _pseudo_rem(a, b)
+        if r:
+            cr = _int_gcd(*r)
+            r = tuple(c // cr for c in r)
+        a, b = b, r
+    g = tuple(c * g_cont for c in a)
+    return _pneg(g) if g[-1] < 0 else g
 
 
 _P_ONE = (1,)
 
 
-def _is_q_power(a) -> bool:
-    """True when the nonzero polynomial a is c*q^k."""
-    return not any(a[:-1])
+def _reduce(p, r):
+    """p / r in lowest terms with r's leading coefficient positive, for
+    trimmed nonzero p and r with nonzero constant terms."""
+    if r == _P_ONE:
+        return p, r
+    if len(p) == 1 or len(r) == 1:
+        # a gcd in Z[q] divides the constant side, so it is an integer
+        g = _int_gcd(*p, *r)
+        if g != 1:
+            p = tuple(c // g for c in p)
+            r = tuple(c // g for c in r)
+    else:
+        g = _pgcd(p, r)
+        if g != _P_ONE:
+            p = _pdiv_exact(p, g)
+            r = _pdiv_exact(r, g)
+    if r[-1] < 0:
+        p, r = _pneg(p), _pneg(r)
+    return p, r
 
 
-def _order(a) -> int:
-    """Largest k with q^k dividing the nonzero polynomial a."""
-    k = 0
-    while not a[k]:
-        k += 1
-    return k
+def _rf(v: int, p: tuple, r: tuple) -> "RationalFunction":
+    """The element q^v * p / r from parts already in canonical form."""
+    x = object.__new__(RationalFunction)
+    x.v, x.p, x.r = v, p, r
+    return x
 
 
 # ---------------------------------------------------------------------------
 
 
 class RationalFunction:
-    """An element of Q(q) in canonical reduced form."""
+    """An element q^v * p / r of Q(q) in canonical form (module docstring)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("v", "p", "r")
 
-    def __init__(self, num, den=_P_ONE, *, _reduced=False):
-        if _reduced:
-            # the caller passes trimmed tuples of a canonical quotient
-            self.num = num
-            self.den = den
-            return
-        num = _trim(num)
-        den = _trim(den)
-        if not den:
+    def __init__(self, num, den=_P_ONE):
+        k, r = _unit_part(den)
+        if not r:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        if not num:
-            den = _P_ONE
-        elif den != _P_ONE:
-            if _is_q_power(den) or _is_q_power(num):
-                # One side is c*q^k, so the gcd in Z[q] is the gcd of
-                # all coefficients times q^min(ord num, ord den).
-                k = min(_order(num), _order(den))
-                g = _int_gcd(*num, *den)
-                if k or g != 1:
-                    num = tuple(c // g for c in num[k:])
-                    den = tuple(c // g for c in den[k:])
-            else:
-                g = _pgcd(num, den)
-                if g != _P_ONE:
-                    num = _pdiv_exact(num, g)
-                    den = _pdiv_exact(den, g)
-            if den[-1] < 0:
-                num, den = _pneg(num), _pneg(den)
-        self.num = num
-        self.den = den
+        s, p = _unit_part(num)
+        if p:
+            self.v, (self.p, self.r) = s - k, _reduce(p, r)
+        else:
+            self.v, self.p, self.r = 0, (), _P_ONE
+
+    @property
+    def num(self) -> tuple:
+        """Numerator of the reduced quotient: q^max(v, 0) * p."""
+        v = self.v
+        return (0,) * v + self.p if v > 0 else self.p
+
+    @property
+    def den(self) -> tuple:
+        """Denominator of the reduced quotient: q^max(-v, 0) * r."""
+        v = self.v
+        return (0,) * -v + self.r if v < 0 else self.r
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(k: int) -> "RationalFunction":
-        return RationalFunction((k,)) if k else RF_ZERO
+        return _rf(0, (k,), _P_ONE) if k else RF_ZERO
 
     @staticmethod
     def from_fraction(p: int, q: int) -> "RationalFunction":
@@ -194,73 +189,73 @@ class RationalFunction:
     @staticmethod
     def q_power(k: int) -> "RationalFunction":
         """The monomial q^k (k may be negative)."""
-        try:
-            return _Q_POWER_CACHE[k]
-        except KeyError:
-            if k >= 0:
-                rf = RationalFunction((0,) * k + (1,), _P_ONE, _reduced=True)
-            else:
-                rf = RationalFunction(_P_ONE, (0,) * (-k) + (1,), _reduced=True)
-            _Q_POWER_CACHE[k] = rf
-            return rf
+        return _rf(k, _P_ONE, _P_ONE)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.p
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.p)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if not self.num:
+        a, b = self.p, other.p
+        if not a:
             return other
-        if not other.num:
+        if not b:
             return self
-        if self.den == other.den:
-            return RationalFunction(_padd(self.num, other.num), self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RationalFunction(num, _pmul(self.den, other.den))
+        r = self.r
+        if r != other.r:
+            a, b = _pmul(a, other.r), _pmul(b, r)
+            r = _pmul(r, other.r)
+        v, d = self.v, other.v - self.v
+        if d < 0:
+            a, b, v, d = b, a, other.v, -d
+        # q^v * (a + q^d * b): pad only by the valuation gap d
+        out = list(a)
+        out += [0] * (d + len(b) - len(out))
+        for i, c in enumerate(b, d):
+            out[i] += c
+        s, p = _unit_part(out)
+        v += s
+        if not p:
+            return RF_ZERO
+        p, r = _reduce(p, r)
+        return _rf(v, p, r)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(_pneg(self.num), self.den, _reduced=True)
+        return _rf(self.v, _pneg(self.p), self.r)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if not self.num or not other.num:
+        a, b = self.p, other.p
+        if not a or not b:
             return RF_ZERO
-        return RationalFunction(
-            _pmul(self.num, other.num), _pmul(self.den, other.den)
-        )
+        v = self.v + other.v
+        r, s = self.r, other.r
+        if len(a) == 1 and len(b) == 1 and r == _P_ONE and s == _P_ONE:
+            return _rf(v, (a[0] * b[0],), _P_ONE)
+        p, r = _reduce(_pmul(a, b), _pmul(r, s))
+        return _rf(v, p, r)
 
     def times_q_power(self, e: int) -> "RationalFunction":
-        """This element times q^e.
-
-        num/den is reduced, so only common powers of q can cancel in
-        num*q^e/den: the product is a shift and needs no gcd.
-        """
-        num, den = self.num, self.den
-        if not e or not num:
+        """This element times q^e."""
+        if not e or not self.p:
             return self
-        if e > 0:
-            k = min(e, _order(den))
-            num, den = (0,) * (e - k) + num, den[k:]
-        else:
-            k = min(-e, _order(num))
-            num, den = num[k:], (0,) * (-e - k) + den
-        return RationalFunction(num, den, _reduced=True)
+        return _rf(self.v + e, self.p, self.r)
 
     def inv(self) -> "RationalFunction":
-        if not self.num:
+        p, r = self.p, self.r
+        if not p:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        num, den = self.den, self.num
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return RationalFunction(num, den, _reduced=True)
+        if p[-1] < 0:
+            p, r = _pneg(p), _pneg(r)
+        return _rf(-self.v, r, p)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         return self * other.inv()
@@ -270,10 +265,10 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.v == other.v and self.p == other.p and self.r == other.r
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.v, self.p, self.r))
 
     # -- presentation ------------------------------------------------------
 
@@ -308,6 +303,5 @@ class RationalFunction:
         return {"num": list(self.num), "den": list(self.den)}
 
 
-RF_ZERO = RationalFunction(())
-RF_ONE = RationalFunction(_P_ONE)
-_Q_POWER_CACHE: dict[int, RationalFunction] = {}
+RF_ZERO = _rf(0, (), _P_ONE)
+RF_ONE = _rf(0, _P_ONE, _P_ONE)

@@ -117,7 +117,12 @@ class SparseElement:
         return out
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_operand(other)
+        out = type(self)(self.ctx)
+        out.terms = dict(self.terms)
+        for exp, coeff in other.terms.items():
+            add_into(out.terms, exp, -coeff)
+        return out
 
     def scale(self, coeff: RationalFunction):
         out = type(self)(self.ctx)

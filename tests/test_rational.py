@@ -1,10 +1,16 @@
 import fractions
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmat.rational as rational
+from qmat.context import build_context
+from qmat.derivations import _weighted_basis_sum, express_hh1
+from qmat.matrixalg import qminor
 from qmat.rational import (
     RF_ONE,
     RF_ZERO,
@@ -14,6 +20,7 @@ from qmat.rational import (
     _trim,
 )
 from qmat.serialize import rf_from_json
+from qmat.tower import build_table, embed
 
 small_ints = st.integers(min_value=-6, max_value=6)
 
@@ -154,7 +161,9 @@ def _reduce_by_pgcd(num, den):
 
 
 class TestLaurentFastPath:
-    """The gcd-free reductions against the general path they bypass."""
+    """Quotients with one side c*q^k, which reduce to q^v * p / r by the
+    valuation v and the integer content alone (no ``_pgcd``), against the
+    general primitive-PRS reduction."""
 
     @settings(max_examples=300, deadline=None)
     @given(polys(), q_powers())
@@ -175,9 +184,10 @@ class TestLaurentFastPath:
 
 
 class TestStoredAsGiven:
-    """q_power, negation, times_q_power and inv build their results with
-    ``_reduced=True``, which stores the tuples without trimming or
-    reducing them; each result must be the full reduction of itself."""
+    """q_power, negation, times_q_power and inv build their results from
+    the stored parts (v, p, r) without ``__init__``: negation negates p,
+    times_q_power adds to v, inv swaps p and r.  Each result must meet the
+    q^v * p / r invariants and be the full reduction of itself."""
 
     @staticmethod
     def assert_canonical(r):
@@ -185,6 +195,7 @@ class TestStoredAsGiven:
         assert type(r.num) is tuple and type(r.den) is tuple
         assert r.num == _trim(r.num) and r.den == _trim(r.den)
         assert (r.num, r.den) == (full.num, full.den)
+        assert_invariants(r)
 
     @settings(max_examples=200, deadline=None)
     @given(shifted_rationals(), st.integers(min_value=-6, max_value=6))
@@ -194,6 +205,187 @@ class TestStoredAsGiven:
         self.assert_canonical(x.times_q_power(e))
         if x:
             self.assert_canonical(x.inv())
+
+
+# ---------------------------------------------------------------------------
+# q^v * p / r against the num/den form it replaced (tests/rational_oracle.py)
+
+def _load_oracle():
+    path = Path(__file__).with_name("rational_oracle.py")
+    spec = importlib.util.spec_from_file_location("rational_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+rational_oracle = _load_oracle()
+Old = rational_oracle.RationalFunction
+shifts = st.integers(min_value=0, max_value=3)
+
+
+def assert_invariants(x):
+    """p and r trimmed with nonzero constant terms, r's leading coefficient
+    positive, gcd(p, r) = 1 in Z[q]; zero is (0, (), (1,))."""
+    v, p, r = x.v, x.p, x.r
+    assert type(v) is int and type(p) is tuple and type(r) is tuple
+    if not p:
+        assert (v, r) == (0, (1,))
+        return
+    assert p[0] != 0 and p[-1] != 0
+    assert r[0] != 0 and r[-1] > 0
+    assert rational_oracle._pgcd(p, r) == (1,)
+
+
+def raw_pairs():
+    """(num, den) as a caller may pass them: general, zero-padded on
+    either side, or Laurent (den = c*q^j)."""
+    nonzero = polys().filter(any)
+    general = st.tuples(polys(), nonzero)
+    padded = st.builds(
+        lambda n, d, i, j: ((0,) * i + n, (0,) * j + d),
+        polys(), nonzero, shifts, shifts,
+    )
+    laurent = st.builds(
+        lambda n, i, c, j: ((0,) * i + n, (0,) * j + (c,)),
+        polys(), shifts, small_ints.filter(bool), shifts,
+    )
+    return st.one_of(general, padded, laurent)
+
+
+def assert_same(new, old):
+    assert_invariants(new)
+    assert (new.num, new.den) == (old.num, old.den)
+    assert new.to_json() == old.to_json()
+
+
+class TestAgainstNumDenOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_pairs(), raw_pairs(), st.integers(min_value=-6, max_value=6))
+    def test_operations_agree(self, x, y, e):
+        a, a0 = RationalFunction(*x), Old(*x)
+        b, b0 = RationalFunction(*y), Old(*y)
+        assert_same(a, a0)
+        assert_same(b, b0)
+        assert_same(a + b, a0 + b0)
+        assert_same(a - b, a0 - b0)
+        assert_same(a * b, a0 * b0)
+        assert_same(-a, -a0)
+        assert_same(a.times_q_power(e), a0.times_q_power(e))
+        assert (a == b) == (a0 == b0)
+        if a == b:
+            assert hash(a) == hash(b)
+        if b0:
+            assert_same(a / b, a0 / b0)
+            assert_same(b.inv(), b0.inv())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                b.inv()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_ints.filter(bool),
+        polys(),
+        polys(),
+        shifts,
+        st.one_of(
+            st.just((1,)),
+            q_powers(),
+            polys(min_len=2).filter(lambda d: d[0] and d[-1]),
+        ),
+    )
+    def test_cancelling_constant_terms(self, c, t1, t2, i, den):
+        # q^i (c + q t1) and q^i (-c + q t2) over one denominator: the sum
+        # loses its constant term, so v must move up
+        x = ((0,) * i + (c,) + t1, den)
+        y = ((0,) * i + (-c,) + t2, den)
+        assert_same(
+            RationalFunction(*x) + RationalFunction(*y), Old(*x) + Old(*y)
+        )
+        assert_same(
+            RationalFunction(*x) - RationalFunction(*x).times_q_power(1),
+            Old(*x) - Old(*x).times_q_power(1),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_pairs().filter(lambda pr: any(pr[0])))
+    def test_inverse_of_negative_leading(self, pair):
+        a, a0 = RationalFunction(*pair), Old(*pair)
+        if a.p[-1] > 0:
+            a, a0 = -a, -a0
+        assert a.num[-1] < 0
+        assert_same(a.inv(), a0.inv())
+        assert a.inv().inv() == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw_pairs(),
+        raw_pairs().filter(lambda pr: any(pr[0])),
+        st.integers(min_value=-4, max_value=4),
+        shifts,
+    )
+    def test_routes_to_one_value_hash_equally(self, x, y, e, k):
+        a, b = RationalFunction(*x), RationalFunction(*y)
+        q_e, q_minus_e = RationalFunction.q_power(e), RationalFunction.q_power(-e)
+        routes = [
+            (a * b) / b,
+            (a + b) - b,
+            a.times_q_power(e).times_q_power(-e),
+            a * q_e * q_minus_e,
+            RationalFunction(a.num, a.den),
+            RationalFunction((0,) * k + a.num + (0,), (0,) * k + a.den),
+            RationalFunction(tuple(-3 * c for c in a.num), tuple(-3 * c for c in a.den)),
+            -(-a),
+            rf_from_json(a.to_json()),
+        ]
+        if a:
+            routes.append(a.inv().inv())
+        for route in routes:
+            assert route == a and hash(route) == hash(a)
+            assert (route.v, route.p, route.r) == (a.v, a.p, a.r)
+
+
+class TestNoGcdOnLaurentPath:
+    """Laurent coefficients (r = (1,)) are closed under +, - and * and never
+    reach a gcd, neither ``_pgcd`` nor the integer content.  The HH1 spec has no inner part: the
+    decomposition divides an inner part's coefficients by 1 - q^e, a
+    non-unit, and that quotient does take the gcd."""
+
+    @pytest.fixture
+    def pgcd_calls(self, monkeypatch):
+        """Calls of the polynomial gcd and of the integer-content gcd."""
+        calls = []
+        for name in ("_pgcd", "_int_gcd"):
+            original = getattr(rational, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append((name, args))
+                return original(*args)
+
+            monkeypatch.setattr(rational, name, counted)
+        return calls
+
+    def test_express_hh1_n3(self, pgcd_calls):
+        Q = RationalFunction.q_power
+        two = RationalFunction.from_int(2)
+        mu = [
+            {0: two * Q(-1) - Q(2), 1: Q(1)},
+            {},
+            {1: two - Q(3)},
+            {0: -Q(-2)},
+            {0: Q(1) + Q(-1), 1: -two},
+        ]
+        ctx = build_context(3)
+        table = build_table(ctx)
+        coords = express_hh1(table, _weighted_basis_sum(ctx, mu))
+        assert coords.mu == mu and coords.inner.is_zero()
+        assert pgcd_calls == []
+
+    def test_embed_minor_n4(self, pgcd_calls):
+        ctx = build_context(4)
+        image = embed(build_table(ctx), qminor(ctx, (1, 2, 3), (2, 3, 4)))
+        assert image.is_monomial()
+        assert all(c.r == (1,) for c in image.terms.values())
+        assert pgcd_calls == []
 
 
 class TestSympyOracle:

@@ -94,6 +94,33 @@ class TestCommutation:
         assert x * y == expected
 
 
+
+class TestSubtraction:
+    """x - y accumulates -c term by term; it must equal x + (-y), with the
+    terms in the same order and no zero coefficient kept."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(exponent_vectors(2, 1), st.integers(-2, 2)), max_size=5),
+        st.lists(st.tuples(exponent_vectors(2, 1), st.integers(-2, 2)), max_size=5),
+    )
+    def test_matches_adding_the_negation(self, xs, ys):
+        ctx = build_context(2)
+
+        def element(pairs):
+            x = TorusElement(ctx)
+            for exp, k in pairs:
+                coeff = RationalFunction.from_int(k).times_q_power(exp[0])
+                x = x + TorusElement.monomial(ctx, exp, coeff)
+            return x
+
+        x, y = element(xs), element(ys)
+        diff = x - y
+        assert list(diff.terms.items()) == list((x + (-y)).terms.items())
+        assert all(diff.terms.values())
+        assert (x - x).is_zero()
+        assert y.terms == element(ys).terms  # the operand is not modified
+
 class TestInversion:
     def test_monomial_inverse(self):
         ctx = build_context(2)
