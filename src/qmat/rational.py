@@ -8,9 +8,10 @@ unique, so equality is component-wise; the reduced quotient num/den is
 num = q^max(v, 0) * p, den = q^max(-v, 0) * r.
 
 Laurent polynomials (r = (1,)) are closed under +, - and * with no gcd
-and no zero padding, and multiplying by q^e adds e to v.  A gcd runs only
-when a denominator is not 1: the integer content when p or r is a
-constant, the primitive-PRS gcd in Z[q] otherwise.
+and no zero padding, and multiplying by q^e adds e to v; a quotient of
+two of them that is exact in Z[q] is found by exact division.  Otherwise
+a gcd runs when a denominator is not 1: the integer content when p or r
+is a constant, the primitive-PRS gcd in Z[q] otherwise.
 """
 
 from __future__ import annotations
@@ -232,11 +233,13 @@ class RationalFunction:
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
 
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+    def __mul__(self, other: "RationalFunction", e: int = 0) -> "RationalFunction":
+        """self * other, times q^e when e is given: the torus product passes
+        its commutation exponent, so a term pair builds one coefficient."""
         a, b = self.p, other.p
         if not a or not b:
             return RF_ZERO
-        v = self.v + other.v
+        v = self.v + other.v + e
         r, s = self.r, other.r
         if len(a) == 1 and len(b) == 1 and r == _P_ONE and s == _P_ONE:
             return _rf(v, (a[0] * b[0],), _P_ONE)
@@ -258,6 +261,13 @@ class RationalFunction:
         return _rf(-self.v, r, p)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
+        a, b = self.p, other.p
+        if a and len(b) > 1 and self.r == _P_ONE and other.r == _P_ONE:
+            # a Laurent quotient that is exact in Z[q] needs no gcd
+            try:
+                return _rf(self.v - other.v, _pdiv_exact(a, b), _P_ONE)
+            except ArithmeticError:
+                pass
         return self * other.inv()
 
     # -- comparison / hashing ----------------------------------------------

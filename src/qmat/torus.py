@@ -78,11 +78,8 @@ class TorusElement(SparseElement):
                     for a in range(b):
                         w[a] += gb * row[a]
             for d, cd, support in right:
-                coeff = cg * cd
                 e = sum([w[a] * da for a, da in support])
-                if e:
-                    coeff = coeff.times_q_power(e)
-                add_into(out, tuple(map(add, g, d)), coeff)
+                add_into(out, tuple(map(add, g, d)), cg.__mul__(cd, e))
         check_terms(len(out), "torus product")
         result = TorusElement(ctx)
         result.terms = out

@@ -32,6 +32,7 @@ class StepGeneratorTable:
         self.ctx = ctx
         self.entries: dict[StepIndex, dict[GeneratorIndex, TorusElement]] = {}
         self._embed_cache: dict[ExponentVector, TorusElement] = {}
+        self._embed_seen: set[ExponentVector] = set()
 
     def top_entries(self) -> dict[GeneratorIndex, TorusElement]:
         return self.entries[self.ctx.top_step()]
@@ -96,19 +97,74 @@ def embed_monomial_at_step(
 
 def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     """Algebra embedding of the quantum-matrix algebra into the torus,
-    determined by the top-step table entries."""
+    determined by the top-step table entries.
+
+    A term whose monomial has its image in the table's cache is summed from
+    there.  All other terms are embedded together by Horner's rule over the
+    PBW order (``_embed_horner``), so sums collapse before they are
+    multiplied by the next entry.  A monomial's image is built with
+    ``embed_monomial_at_step`` and cached only the second time the table
+    embeds that monomial: a table used once never builds an image, and a
+    shared table reaches the same warm cache one pass later.  A monomial
+    with a negative exponent (only a hand-built element has one) skips
+    Horner's rule and is built at once, inverting the entry if it can.
+    """
     ctx = table.ctx
-    top = ctx.top_step()
     cache = table._embed_cache
-    out = TorusElement(ctx)
+    seen = table._embed_seen
+    out: dict[ExponentVector, RationalFunction] = {}
+    rest: dict[ExponentVector, RationalFunction] = {}
     for exp, coeff in x.terms.items():
         img = cache.get(exp)
         if img is None:
-            img = embed_monomial_at_step(table, top, exp)
+            if exp not in seen and is_natural(exp):
+                seen.add(exp)
+                rest[exp] = coeff
+                continue
+            img = embed_monomial_at_step(table, ctx.top_step(), exp)
             cache[exp] = img
         for e, c in img.terms.items():
-            add_into(out.terms, e, c * coeff)
-    return out
+            add_into(out, e, c * coeff)
+    cached = TorusElement(ctx)
+    cached.terms = out
+    if not rest:
+        return cached
+    top = table.top_entries()
+    entries = [top[gen] for gen in ctx.generators]
+    return cached + _embed_horner(ctx, entries, rest)
+
+
+def _embed_horner(
+    ctx: AlgebraContext,
+    entries: list[TorusElement],
+    terms: dict[ExponentVector, RationalFunction],
+) -> TorusElement:
+    """Sum of c * entries[0]^h_0 * ... * entries[m-1]^h_{m-1} over the
+    nonempty {h: c}, all h of one length m and natural.
+
+    With k the last position any h uses, grouping by h_k gives
+    sum_j G_j * entries[k]^j, each G_j over the prefixes h[:k]; it is
+    evaluated as (..(G_J * entries[k] + G_{J-1}) * entries[k] ..) + G_0.
+    """
+    k = len(next(iter(terms)))
+    while k and not any(h[k - 1] for h in terms):
+        k -= 1
+    if not k:
+        (c,) = terms.values()
+        return TorusElement.scalar(ctx, c)
+    k -= 1
+    groups: dict[int, dict] = {}
+    for h, c in terms.items():
+        groups.setdefault(h[k], {})[h[:k]] = c
+    entry = entries[k]
+    last = max(groups)
+    acc = _embed_horner(ctx, entries, groups[last])
+    for j in range(last - 1, -1, -1):
+        acc = acc * entry
+        group = groups.get(j)
+        if group:
+            acc = acc + _embed_horner(ctx, entries, group)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import qmat.rational as rational
 from qmat.context import build_context
-from qmat.derivations import _weighted_basis_sum, express_hh1
-from qmat.matrixalg import qminor
+from qmat.derivations import _weighted_basis_sum, ad, express_hh1
+from qmat.matrixalg import MatrixAlgebraElement, qminor
 from qmat.rational import (
     RF_ONE,
     RF_ZERO,
@@ -276,6 +276,8 @@ class TestAgainstNumDenOracle:
             assert hash(a) == hash(b)
         if b0:
             assert_same(a / b, a0 / b0)
+            # an exact quotient, which Laurent a and b divide with no gcd
+            assert_same((a * b) / b, (a0 * b0) / b0)
             assert_same(b.inv(), b0.inv())
         else:
             with pytest.raises(ZeroDivisionError):
@@ -346,9 +348,9 @@ class TestAgainstNumDenOracle:
 
 class TestNoGcdOnLaurentPath:
     """Laurent coefficients (r = (1,)) are closed under +, - and * and never
-    reach a gcd, neither ``_pgcd`` nor the integer content.  The HH1 spec has no inner part: the
-    decomposition divides an inner part's coefficients by 1 - q^e, a
-    non-unit, and that quotient does take the gcd."""
+    reach a gcd, neither ``_pgcd`` nor the integer content.  An inner part
+    takes none either: the decomposition divides its coefficients by
+    1 - q^e, and for x in the algebra that quotient is exact and Laurent."""
 
     @pytest.fixture
     def pgcd_calls(self, monkeypatch):
@@ -378,6 +380,25 @@ class TestNoGcdOnLaurentPath:
         table = build_table(ctx)
         coords = express_hh1(table, _weighted_basis_sum(ctx, mu))
         assert coords.mu == mu and coords.inner.is_zero()
+        assert pgcd_calls == []
+
+    def test_express_hh1_with_inner_part_n3(self, pgcd_calls):
+        Q = RationalFunction.q_power
+        two = RationalFunction.from_int(2)
+        ctx = build_context(3)
+
+        def Y(i, a):
+            return MatrixAlgebraElement.generator(ctx, (i, a))
+
+        x = (
+            (Y(1, 2) * Y(3, 1)).scale(two * Q(-1))
+            + Y(2, 3).scale(Q(2))
+            + (Y(1, 1) * Y(2, 2)).scale(Q(1) + Q(-1))
+        )
+        mu = [{0: two * Q(-1) - Q(2), 1: Q(1)}, {}, {1: two - Q(3)}, {}, {0: -Q(-2)}]
+        table = build_table(ctx)
+        coords = express_hh1(table, ad(x) + _weighted_basis_sum(ctx, mu))
+        assert coords.mu == mu and coords.inner == x
         assert pgcd_calls == []
 
     def test_embed_minor_n4(self, pgcd_calls):

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qmat.tower as tower
 from qmat.context import build_context
 from qmat.errors import NotAMonomialError, NotInSpanError
 from qmat.matrixalg import MatrixAlgebraElement, b_minor, qdet
@@ -85,6 +88,15 @@ class TestEmbedding:
         ctx = t2.ctx
         assert embed(t2, qdet(ctx)) == T(ctx, 1, 1) * T(ctx, 2, 2)
 
+    def test_det_embeds_to_monomial_n5(self):
+        # the 120 terms of det_q collapse on a fresh table (under 1 s)
+        ctx = build_context(5)
+        diagonal = TorusElement.one(ctx)
+        for i in range(1, 6):
+            diagonal = diagonal * T(ctx, i, i)
+        assert list(diagonal.terms.values()) == [RF_ONE]
+        assert embed(build_table(ctx), qdet(ctx)) == diagonal
+
     def test_minor_embeds(self, t2):
         ctx = t2.ctx
         assert embed(t2, b_minor(ctx, 3)) == T(ctx, 2, 1)
@@ -115,6 +127,120 @@ class TestEmbedding:
         ctx = t2.ctx
         with pytest.raises(NotAMonomialError):
             embed_monomial_at_step(t2, ctx.top_step(), (-1, 0, 0, 0))
+
+
+def _oracle(table, x):
+    """sum of c * embed_monomial_at_step(table, top, h) over the terms of x"""
+    ctx = table.ctx
+    out = TorusElement(ctx)
+    for h, c in x.terms.items():
+        out = out + embed_monomial_at_step(table, ctx.top_step(), h).scale(c)
+    return out
+
+
+def _coeffs():
+    laurent = st.builds(
+        lambda c, k: RationalFunction.from_int(c) * RationalFunction.q_power(k),
+        st.integers(-4, 4).filter(bool),
+        st.integers(-3, 3),
+    )
+    poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+    general = st.builds(RationalFunction, poly, poly.filter(any))
+    return laurent | general
+
+
+# the top entry (1, 1) has 2, 6 and 20 terms at n = 2, 3, 4, so the degree
+# cap keeps the oracle's uncollapsed products small
+MAX_DEGREE = {2: 6, 3: 4, 4: 3}
+
+
+@st.composite
+def pbw_elements(draw, n):
+    """Elements of up to four terms, including zero, scalars and single
+    generators raised to the whole degree budget."""
+    ctx = build_context(n)
+    nn = n * n
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exp = [0] * nn
+        budget = draw(st.integers(0, MAX_DEGREE[n]))
+        while budget:
+            power = draw(st.integers(1, budget))
+            exp[draw(st.integers(0, nn - 1))] += power
+            budget -= power
+        terms[tuple(exp)] = draw(_coeffs())
+    return MatrixAlgebraElement(ctx, terms)
+
+
+SHARED = {n: build_table(build_context(n)) for n in MAX_DEGREE}
+
+
+class TestHornerEmbed:
+    """``embed`` (Horner over the PBW order, images cached on second use)
+    against the sum of the step-monomial images of its terms."""
+
+    @pytest.mark.parametrize("n", sorted(MAX_DEGREE))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fresh_table(self, n, data):
+        x = data.draw(pbw_elements(n))
+        table = build_table(x.ctx)
+        assert embed(table, x) == _oracle(table, x)
+        assert not table._embed_cache
+
+    @pytest.mark.parametrize("n", sorted(MAX_DEGREE))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mixed_cached_and_uncached(self, n, data):
+        x = data.draw(pbw_elements(n))
+        warm = [h for h in x.terms if data.draw(st.booleans())]
+        table = build_table(x.ctx)
+        for h in warm:
+            for _ in range(2):
+                embed(table, MatrixAlgebraElement.monomial(x.ctx, h))
+        assert set(table._embed_cache) == set(warm)
+        assert embed(table, x) == _oracle(table, x)
+        assert set(table._embed_cache) == set(warm)
+
+    @pytest.mark.parametrize("n", sorted(MAX_DEGREE))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_shared_table_repeated(self, n, data):
+        # SHARED[n] keeps its cache and seen set across examples
+        x = data.draw(pbw_elements(n))
+        table = SHARED[n]
+        expected = _oracle(table, x)
+        for _ in range(3):
+            assert embed(table, x) == expected
+        assert set(x.terms) <= set(table._embed_cache)
+
+    def test_negative_exponent_inverts_or_raises(self):
+        ctx = build_context(2)
+        table = build_table(ctx)
+        inverse = MatrixAlgebraElement(ctx, {(0, 0, 0, -1): RF_ONE})
+        assert embed(table, inverse) == T(ctx, 2, 2).invert_monomial()
+        with pytest.raises(NotAMonomialError):
+            embed(table, MatrixAlgebraElement(ctx, {(-1, 0, 0, 0): RF_ONE}))
+
+    def test_images_built_on_second_use_only(self, monkeypatch):
+        ctx = build_context(3)
+        x = qdet(ctx) + Y(ctx, 1, 2) * Y(ctx, 3, 3).scale(RationalFunction.q_power(2))
+        calls = []
+        original = tower.embed_monomial_at_step
+
+        def counted(table, step, exp):
+            calls.append(exp)
+            return original(table, step, exp)
+
+        monkeypatch.setattr(tower, "embed_monomial_at_step", counted)
+        table = build_table(ctx)
+        first = embed(table, x)
+        assert calls == []
+        assert embed(table, x) == first
+        assert sorted(calls) == sorted(x.terms)
+        calls.clear()
+        assert embed(table, x) == first
+        assert calls == []
 
 
 class TestRebase:
