@@ -8,7 +8,7 @@ here:
     torus through the tower embedding;
   * every torus derivation splits as ad_x + theta with theta a central
     scaling, and the splitting is constructive;
-  * reading the central weights through a fixed dictionary expresses the
+  * reading the central weights of the first row and column expresses the
     derivation as ad_x plus a combination of the 2n-1 diagonal basis
     derivations D_j with coefficients polynomial in the quantum
     determinant.
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .matrixalg import MatrixAlgebraElement, qdet, relation_report
 from .rational import RF_ONE, RF_ZERO, RationalFunction
-from .sparse import add_into
+from .sparse import add_into, require_operand
 from .torus import TorusElement, delta_exponents, is_central_monomial
 from .tower import (
     StepGeneratorTable,
@@ -111,6 +111,7 @@ def leibniz_extend(d: DerivationSpec, x):
     powers handled through D(t^{-1}) = -t^{-1} D(t) t^{-1}.
     """
     ctx = d.ctx
+    require_operand("leibniz_extend", x, d.cls, ctx.n)
     out = d.cls(ctx)
     for exp, coeff in x.terms.items():
         value = type(x).one(ctx)
@@ -274,6 +275,7 @@ def lift_to_torus(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpe
     """
     if d.alg != "Mq":
         raise DimensionMismatchError("lift_to_torus expects a quantum-matrix spec")
+    require_operand("lift_to_torus", d, DerivationSpec, table.ctx.n)
     require_derivation(d)
     return _lift(table, d)
 
@@ -330,19 +332,33 @@ class TorusDecomposition:
 def decompose_torus_derivation(d: DerivationSpec) -> TorusDecomposition:
     """Constructive splitting of a torus derivation as ad_x + theta.
 
+    ``_split`` builds x and z; the zero residual d - ad_x - theta on every
+    generator certifies them, and with them that d is a derivation.
+    """
+    if d.alg != "torus":
+        raise DimensionMismatchError(
+            "decompose_torus_derivation expects a torus spec"
+        )
+    dec = _split(d)
+    residual = d - ad(dec.x) - central_scaling_spec(d.ctx, dec.z)
+    for gen in d.ctx.generators:
+        if residual.images[gen]:
+            raise InconsistentDecompositionError(
+                f"decomposition does not reconstruct the image of T{gen}"
+            )
+    return dec
+
+
+def _split(d: DerivationSpec) -> TorusDecomposition:
+    """The splitting ad_x + theta of a torus spec, without checking it.
+
     For each generator a, d(T_a) T_a^{-1} = sum_g c_{a,g} T^g; a central
     exponent g contributes c_{a,g} T^g to z_a, and a non-central one
     determines x_g = c_{a,g} / kappa through the first generator that
     fails to commute with T^g.  Since T_a T^g = q^{(B.g)_a} T^g T_a, the
     coefficient of T^g in ad_{T^g}(T_a) T_a^{-1} is kappa = 1 - q^{(B.g)_a}.
-    Reconstruction is verified on every generator, which also certifies
-    cross-generator consistency.
     """
     ctx = d.ctx
-    if d.alg != "torus":
-        raise DimensionMismatchError(
-            "decompose_torus_derivation expects a torus spec"
-        )
     z: dict[GeneratorIndex, TorusElement] = {}
     x_terms: dict = {}
     for row, gen in zip(ctx.B, ctx.generators):
@@ -357,15 +373,7 @@ def decompose_torus_derivation(d: DerivationSpec) -> TorusDecomposition:
                 if e:
                     x_terms[gamma] = coeff / (RF_ONE - RationalFunction.q_power(e))
         z[gen] = za
-    x = TorusElement(ctx, x_terms)
-    for gen in ctx.generators:
-        ta = TorusElement.generator(ctx, gen)
-        reconstructed = (x * ta - ta * x) + z[gen] * ta
-        if (reconstructed - d.images[gen]):
-            raise InconsistentDecompositionError(
-                f"decomposition does not reconstruct the image of T{gen}"
-            )
-    return TorusDecomposition(x, z)
+    return TorusDecomposition(TorusElement(ctx, x_terms), z)
 
 
 # ---------------------------------------------------------------------------
@@ -422,55 +430,30 @@ class HH1Coordinates:
         self.det_shift = det_shift
 
 
-def mu_index_of_generator(n: int, i: int, a: int) -> int | None:
-    """Dictionary row: which mu coordinate the weight z(i,a) determines."""
-    if (i, a) == (1, 1):
-        return n
-    if i == 1:
-        return n + 1 - a
-    if a == 1:
-        return n + i - 1
-    return None
-
-
 def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     """Write a quantum-matrix derivation as ad_x + sum_j mu_j D_j.
 
-    Lift to the torus, split off the inner part, read the mu weights from
-    the first row and first column of the central scaling, and verify both
-    the dictionary consistency of the remaining weights and the exact
-    generator-wise reconstruction.
+    Lift to the torus and split off the inner part there, unchecked; read
+    mu_j off the central weight of the j-th reader generator (1,n), ...,
+    (1,2), (1,1), (2,1), ..., (n,1): D_j scales it, no other D_k does.
 
-    The zero residual d - ad_x - sum_j mu_j(det_q) D_j on every generator
-    also proves that d is a derivation, so d is not checked up front: ad_x
-    is a derivation, so is each mu_j(det_q) D_j because det_q is central,
-    and a spec is fixed by its generator images, so d equals their sum.
-    Only if a step fails is d checked, and a broken relation then raises
+    The one certificate is the zero residual d - ad_x - sum_j mu_j(det_q)
+    D_j on every generator.  It proves the coordinates, and it proves that
+    d is a derivation, so d is not checked up front: ad_x is a derivation,
+    so is each mu_j(det_q) D_j because det_q is central, and a spec is
+    fixed by its generator images, so d equals their sum.  Only if a step
+    fails is d checked, and a broken relation then raises
     NotADerivationError in place of the step's error.
     """
     ctx = table.ctx
     n = ctx.n
     if d.alg != "Mq":
         raise DimensionMismatchError("express_hh1 expects a quantum-matrix spec")
+    require_operand("express_hh1", d, DerivationSpec, n)
+    readers = [(1, a) for a in range(n, 0, -1)] + [(i, 1) for i in range(2, n + 1)]
     with rejecting_non_derivations(d):
-        dec = decompose_torus_derivation(_lift(table, d))
-
-        mu: list[DetPolynomial | None] = [None] * (2 * n - 1)
-        for (i, a), weight in dec.z.items():
-            j = mu_index_of_generator(n, i, a)
-            if j is not None:
-                mu[j - 1] = _det_poly_of_central(weight)
-        for (i, a), weight in dec.z.items():
-            if i >= 2 and a >= 2:
-                expected = (
-                    dec.z[(1, a)] + dec.z[(i, 1)] - dec.z[(1, 1)]
-                )
-                if (weight - expected):
-                    raise ConditionViolatedError(
-                        f"weight of T({i},{a}) fails the row/column dictionary"
-                    )
-        mu = [m or {} for m in mu]
-
+        dec = _split(_lift(table, d))
+        mu = [_det_poly_of_central(dec.z[g]) for g in readers]
         inner = _solve_inner_part(table, dec.x)
 
         residual = d - ad(inner) - _weighted_basis_sum(ctx, mu)
@@ -603,6 +586,7 @@ def gl_express(
     computed and the weights divided back, so mu may be Laurent in the
     determinant."""
     ctx = table.ctx
+    require_operand("gl_express", d, DerivationSpec, ctx.n)
     if k < 0:
         raise ValueError("clearing power must be nonnegative")
     det_t = embed(table, qdet(ctx))

@@ -36,9 +36,16 @@ def add_into(terms: dict, key, coeff: RationalFunction) -> None:
 
 
 def _describe(x) -> str:
-    if isinstance(x, SparseElement):
-        return f"{type(x).__name__} (n = {x.ctx.n})"
-    return type(x).__name__
+    ctx = getattr(x, "ctx", None)
+    return type(x).__name__ + (f" (n = {ctx.n})" if ctx else "")
+
+
+def require_operand(where: str, x, cls, n: int) -> None:
+    """Raise DimensionMismatchError unless x is a ``cls`` over n x n."""
+    if type(x) is not cls or x.ctx.n != n:
+        raise DimensionMismatchError(
+            f"{where} expects a {cls.__name__} (n = {n}), got {_describe(x)}"
+        )
 
 
 class SparseElement:

@@ -21,7 +21,7 @@ from .errors import NotAMonomialError, NotInSpanError, PivotNotMonomialError
 from .limits import check_terms
 from .matrixalg import MatrixAlgebraElement, b_minor, qdet, relation_report
 from .rational import RationalFunction
-from .sparse import ExponentVector, add_into
+from .sparse import ExponentVector, add_into, require_operand
 from .torus import TorusElement
 
 
@@ -110,6 +110,7 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     Horner's rule and is built at once, inverting the entry if it can.
     """
     ctx = table.ctx
+    require_operand("embed", x, MatrixAlgebraElement, ctx.n)
     cache = table._embed_cache
     seen = table._embed_seen
     out: dict[ExponentVector, RationalFunction] = {}
@@ -320,6 +321,7 @@ def rebase_to_step(
     within this box.
     """
     ctx = table.ctx
+    require_operand("rebase_to_step", x, TorusElement, ctx.n)
     entries = table.entries[step]
     monomial_ok = [
         entries[ctx.gen_at(k)].is_monomial() for k in range(ctx.n * ctx.n)
@@ -345,6 +347,7 @@ def rebase_to_matrix_algebra(
     """Express a torus element as an element of the quantum-matrix algebra
     (top step, natural exponents only)."""
     ctx = table.ctx
+    require_operand("rebase_to_matrix_algebra", x, TorusElement, ctx.n)
     coords = solve_monomial_combination(
         x, lambda h: embed(table, MatrixAlgebraElement.monomial(ctx, h))
     )

@@ -1,17 +1,29 @@
-"""HH¹ coordinates certified by the zero residual.
+"""Each derivation answer certified once, by its zero residual.
 
-``express_hh1`` and ``derivation decompose`` on a torus spec run the
-relation check only when the computation fails; these tests pin down that
-every non-derivation is still rejected, that the check does not run on the
-success path, and that the one-product-per-generator residual matches the
-per-basis products it replaced.
+``express_hh1`` rests on the algebra residual d - ad(inner) -
+sum_j mu_j(det_q) D_j alone, and ``derivation decompose`` on the torus
+residual d - ad_x - theta, for a torus spec and for the lift of an Mq
+spec alike; the relations are checked only when a step fails, and
+``lift_to_torus`` is the one entry point that checks up front.  These
+tests pin down that every non-derivation is still rejected, that neither
+the relation check nor the torus certificate runs on the success path of
+``express_hh1``, that each mu_j lands in slot j, and that the
+one-product-per-generator residual matches the per-basis products it
+replaced.
 """
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmat.derivations as derivations
+from qmat.cli import main
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
@@ -20,6 +32,7 @@ from qmat.derivations import (
     ad,
     basis_derivation,
     check_derivation,
+    decompose_torus_derivation,
     express_hh1,
     failing_relations,
     lift_to_torus,
@@ -27,6 +40,7 @@ from qmat.derivations import (
 from qmat.errors import NotADerivationError, NotInSpanError
 from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RationalFunction
+from qmat.serialize import derivation_to_json, element_to_json
 from qmat.tower import build_table
 
 Q = RationalFunction.q_power
@@ -45,18 +59,27 @@ def exponents(n, max_degree=2):
     ).map(lambda cells: tuple(cells.count(k) for k in range(n * n)))
 
 
-@pytest.fixture
-def check_calls(monkeypatch):
-    """Count the calls of ``check_derivation`` made through the module."""
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``derivations.<name>`` made through the module."""
     calls = []
-    original = derivations.check_derivation
+    original = getattr(derivations, name)
 
     def counted(d):
         calls.append(d)
         return original(d)
 
-    monkeypatch.setattr(derivations, "check_derivation", counted)
+    monkeypatch.setattr(derivations, name, counted)
     return calls
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    return _count_calls(monkeypatch, "check_derivation")
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    return _count_calls(monkeypatch, "decompose_torus_derivation")
 
 
 def _one_image_only(ctx, gen):
@@ -150,13 +173,15 @@ def test_single_weight_matches_per_basis_product():
 # the check runs only on failure
 
 
-def test_check_skipped_on_success(check_calls):
+def test_check_skipped_on_success(check_calls, decompose_calls):
     ctx = build_context(3)
     x = MatrixAlgebraElement.generator(ctx, (1, 2))
     d = ad(x) + _weighted_basis(ctx, 2, {1: Q(1)})
     coords = express_hh1(TABLES[3], d)
     assert coords.mu[1] == {1: Q(1)}
     assert check_calls == []
+    # the residual is the one certificate: no torus reconstruction either
+    assert decompose_calls == []
 
 
 def test_check_runs_once_on_failure(check_calls):
@@ -189,26 +214,51 @@ def test_lift_to_torus_still_checks_up_front(check_calls, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# each mu_j is read into slot j
+
+
+def _distinct_weights(n):
+    """2n-1 distinct nonzero weights, every other one with a det_q term."""
+    return [
+        {0: RationalFunction.from_int(j), 1: Q(j)}
+        if j % 2
+        else {0: RationalFunction.from_int(-j)}
+        for j in range(1, 2 * n)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_mu_lands_in_its_slot(n):
+    ctx = build_context(n)
+    mu = _distinct_weights(n)
+    x = MatrixAlgebraElement.generator(ctx, (1, 2))
+    table = TABLES[n] if n in TABLES else build_table(ctx)
+    coords = express_hh1(table, ad(x) + _per_basis_sum(ctx, mu))
+    assert coords.mu == mu
+    assert ad(coords.inner) == ad(x)
+
+
+# ---------------------------------------------------------------------------
 # perturbed derivations are rejected exactly when a relation fails
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from([2, 3]).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.tuples(exponents(n), laurent), min_size=1, max_size=2),
-            st.integers(1, 2 * n - 1),
-            st.integers(0, n * n - 1),
-            exponents(n),
-            st.one_of(st.just(None), laurent),
-        )
+perturbed_cases = st.sampled_from([2, 3]).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(exponents(n), laurent), min_size=1, max_size=2),
+        st.integers(1, 2 * n - 1),
+        st.integers(0, n * n - 1),
+        exponents(n),
+        st.one_of(st.just(None), laurent),
     )
 )
-def test_perturbed_derivation(case):
+
+
+def _perturbed(case):
+    """ad(x) + D_j, and that spec with one generator image perturbed by
+    c * Y^h (unchanged when c is None)."""
     n, x_terms, j, cell, h, coeff = case
     ctx = build_context(n)
-    table = TABLES[n]
     x = MatrixAlgebraElement(ctx)
     for exp, c in x_terms:
         x = x + MatrixAlgebraElement.monomial(ctx, exp, c)
@@ -217,7 +267,16 @@ def test_perturbed_derivation(case):
     images = dict(d.images)
     if coeff is not None:
         images[gen] = images[gen] + MatrixAlgebraElement.monomial(ctx, h, coeff)
-    perturbed = DerivationSpec(ctx, "Mq", images)
+    return x, d, DerivationSpec(ctx, "Mq", images)
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_cases)
+def test_perturbed_derivation(case):
+    n, j = case[0], case[2]
+    ctx = build_context(n)
+    table = TABLES[n]
+    x, d, perturbed = _perturbed(case)
 
     if failing_relations(check_derivation(perturbed)):
         with pytest.raises(NotADerivationError):
@@ -232,3 +291,33 @@ def test_perturbed_derivation(case):
     else:
         rebuilt = ad(coords.inner) + _weighted_basis_sum(ctx, coords.mu)
         assert rebuilt == perturbed
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_cases)
+def test_cli_decompose_of_perturbed_derivation(case):
+    """``derivation decompose`` on an Mq spec rejects it exactly when a
+    relation fails, and otherwise prints the splitting of its checked lift."""
+    _, _, perturbed = _perturbed(case)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.json"
+        path.write_text(json.dumps(derivation_to_json(perturbed)))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["derivation", "decompose", str(path)])
+
+    bad = failing_relations(check_derivation(perturbed))
+    if bad:
+        assert (code, out.getvalue()) == (4, "")
+        assert err.getvalue() == f"error: images violate relations at pairs {bad}\n"
+        return
+    assert code == 0 and err.getvalue() == ""
+    dec = decompose_torus_derivation(
+        lift_to_torus(TABLES[perturbed.ctx.n], perturbed)
+    )
+    got = json.loads(out.getvalue())
+    assert got["x"] == element_to_json(dec.x)
+    assert got["z"] == [
+        {"gen": list(gen), "value": element_to_json(dec.z[gen])}
+        for gen in perturbed.ctx.generators
+    ]

@@ -217,9 +217,13 @@ class TestExitCodes:
             for gen in ctx.generators
         }
         spec = DerivationSpec(ctx, "Mq", images)
+        bad = failing_relations(check_derivation(spec))
+        assert bad
         path = write_json(tmp_path, "d.json", derivation_to_json(spec))
-        code, _ = run_cli(capsys, "derivation", "decompose", path)
-        assert code == 4
+        code = main(["derivation", "decompose", path])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"error: images violate relations at pairs {bad}\n"
         code, _ = run_cli(capsys, "derivation", "check", path)
         assert code == 4
 

@@ -1,4 +1,6 @@
-"""Binary operations refuse operands of another size or another algebra."""
+"""Binary operations, and the entry points that take an element or a spec
+next to a tower table or a spec, refuse operands of another size or
+another algebra."""
 
 import json
 
@@ -7,18 +9,28 @@ import pytest
 from qmat.cli import main
 from qmat.context import build_context
 from qmat.derivations import (
+    DerivationSpec,
     ad,
     basis_derivation,
     decompose_torus_derivation,
+    express_hh1,
+    gl_express,
+    leibniz_extend,
     lift_to_torus,
 )
 from qmat.errors import DimensionMismatchError
 from qmat.matrixalg import MatrixAlgebraElement
 from qmat.serialize import derivation_to_json, element_to_json
 from qmat.torus import TorusElement
-from qmat.tower import build_table
+from qmat.tower import (
+    build_table,
+    embed,
+    rebase_to_matrix_algebra,
+    rebase_to_step,
+)
 
 C2, C3 = build_context(2), build_context(3)
+T2, T3 = build_table(C2), build_table(C3)
 
 
 def Y(ctx, i, a):
@@ -75,6 +87,79 @@ def test_spec_algebra_mismatch_raises():
         lift_to_torus(table, torus)
     with pytest.raises(DimensionMismatchError):
         decompose_torus_derivation(mq)
+
+
+# ---------------------------------------------------------------------------
+# a table, a spec and an element must agree on n and on the algebra
+
+
+def test_embed_refuses_a_larger_element():
+    with pytest.raises(DimensionMismatchError):
+        embed(T2, Y(C3, 1, 1))
+
+
+def test_embed_refuses_a_smaller_element():
+    with pytest.raises(DimensionMismatchError):
+        embed(T3, Y(C2, 2, 2))
+
+
+def test_embed_refuses_a_torus_element():
+    with pytest.raises(DimensionMismatchError):
+        embed(T2, T(C2, 1, 1))
+
+
+# a spec of another n is refused as such, also when it is no derivation
+SPECS = {
+    "derivation": lambda ctx: basis_derivation(ctx, 1),
+    "non-derivation": lambda ctx: DerivationSpec(
+        ctx, "Mq", {(1, 1): Y(ctx, 1, 1)}
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_lift_refuses_a_spec_of_another_n(spec):
+    with pytest.raises(DimensionMismatchError, match=r"got DerivationSpec \(n = 3\)"):
+        lift_to_torus(T2, SPECS[spec](C3))
+
+
+def test_leibniz_extend_refuses_an_element_of_another_n():
+    with pytest.raises(DimensionMismatchError):
+        leibniz_extend(basis_derivation(C2, 1), Y(C3, 1, 1))
+
+
+def test_leibniz_extend_refuses_an_element_of_the_other_algebra():
+    with pytest.raises(DimensionMismatchError):
+        leibniz_extend(basis_derivation(C2, 1), T(C2, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "coordinates",
+    [express_hh1, lambda table, d: gl_express(table, d, 0)],
+    ids=["express_hh1", "gl_express"],
+)
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_coordinates_refuse_a_spec_of_another_n(coordinates, spec):
+    with pytest.raises(DimensionMismatchError, match=r"got DerivationSpec \(n = 2\)"):
+        coordinates(T3, SPECS[spec](C2))
+
+
+@pytest.mark.parametrize(
+    "rebase",
+    [
+        lambda table, x: rebase_to_step(table, table.ctx.top_step(), x),
+        rebase_to_matrix_algebra,
+    ],
+    ids=["rebase_to_step", "rebase_to_matrix_algebra"],
+)
+@pytest.mark.parametrize(
+    "table, x",
+    [(T2, T(C3, 3, 3)), (T3, T(C2, 2, 2)), (T2, Y(C2, 1, 1))],
+    ids=["larger", "smaller", "Mq"],
+)
+def test_rebase_refuses_an_element_of_another_n(rebase, table, x):
+    with pytest.raises(DimensionMismatchError):
+        rebase(table, x)
 
 
 def _run(capsys, *argv):
