@@ -263,6 +263,9 @@ def main(argv=None) -> int:
     except QmatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,11 @@ equality is term-wise.  The product of two ordered monomials is
 where e(g, d) = sum over flat positions a < b of g_b * d_a * B[b][a]
 (the cost of moving each factor of T^d left past the larger-index factors
 of T^g).
+
+A product with a one-term factor T^t is a translation x -> x + t of the
+other side's exponents: injective, and Q(q) has no zero divisors, so no two
+terms collide or cancel.  ``build_table``'s pivot inverse, Horner's scalar
+starts in ``embed`` and ``embed_monomial_at_step`` all multiply this way.
 """
 
 from __future__ import annotations
@@ -63,6 +68,28 @@ class TorusElement(SparseElement):
         ctx = self.ctx
         B = ctx.B
         nn = len(B)
+        result = TorusElement(ctx)
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            # translation by the one-term side T^t: x -> x + t is injective
+            # and Q(q) has no zero divisors, so nothing collides or cancels;
+            # the form of e is built once, u = L t for t on the right (B is
+            # skew: u[k] = -sum over j < k of t_j B[j][k]), w = t^T L on the left
+            t_right = len(other.terms) == 1
+            one, rest = (other, self) if t_right else (self, other)
+            check_terms(len(rest.terms), "torus product")
+            (t, ct), = one.terms.items()
+            f = [0] * nn
+            for j, tj in enumerate(t):
+                if tj:
+                    row = B[j]
+                    for k in range(j + 1, nn) if t_right else range(j):
+                        f[k] += tj * row[k]
+            form = [(k, -fk if t_right else fk) for k, fk in enumerate(f) if fk]
+            result.terms = {
+                tuple(map(add, x, t)): ct.__mul__(cx, sum([x[k] * fk for k, fk in form]))
+                for x, cx in rest.terms.items()
+            }
+            return result
         # e(g, d) = w . d with w = g^T L, L the strictly lower part of B;
         # w is built once per left term and the dot runs over d's support.
         right = [
@@ -81,7 +108,6 @@ class TorusElement(SparseElement):
                 e = sum([w[a] * da for a, da in support])
                 add_into(out, tuple(map(add, g, d)), cg.__mul__(cd, e))
         check_terms(len(out), "torus product")
-        result = TorusElement(ctx)
         result.terms = out
         return result
 

@@ -227,11 +227,10 @@ def verify_forward_recursion(table: StepGeneratorTable) -> bool:
     ctx = table.ctx
     for idx, r in enumerate(ctx.E[:-1]):
         j, b = r
-        cur = table.entries[r]
-        nxt = table.entries[ctx.E[idx + 1]]
+        cur, nxt = table.entries[r], table.entries[ctx.E[idx + 1]]
+        pinv = nxt[(j, b)].invert_monomial() if j > 1 and b > 1 else None
         for (i, a), entry in cur.items():
-            if j > 1 and b > 1 and i < j and a < b:
-                pinv = nxt[(j, b)].invert_monomial()
+            if pinv is not None and i < j and a < b:
                 expected = nxt[(i, a)] - nxt[(i, b)] * pinv * nxt[(j, a)]
             else:
                 expected = nxt[(i, a)]

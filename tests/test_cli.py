@@ -169,6 +169,18 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr("qmat.cli.cmd_det", exhausted)
+        code = main(["det", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "out of memory in det" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "argv, code",
         [

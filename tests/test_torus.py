@@ -94,6 +94,53 @@ class TestCommutation:
         assert x * y == expected
 
 
+# operand shapes (terms on the left, terms on the right): one-term left,
+# one-term right, both one-term, a zero operand, and multi x multi
+SHAPES = [(1, 3), (3, 1), (1, 1), (0, 1), (1, 0), (0, 3), (3, 0), (3, 3)]
+
+
+@st.composite
+def shaped_operands(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    ctx = build_context(n)
+    left, right = draw(st.sampled_from(SHAPES))
+    vectors = st.one_of(st.just((0,) * (n * n)), exponent_vectors(n, 2))
+    coeffs = st.builds(
+        lambda k, v, laurent: (
+            RationalFunction.from_int(k) if laurent else RationalFunction((k,), (1, 1))
+        ).times_q_power(v),
+        st.integers(-2, 2).filter(bool),
+        st.integers(-2, 2),
+        st.booleans(),
+    )
+
+    def element(size):
+        exps = draw(st.lists(vectors, min_size=size, max_size=size, unique=True))
+        return TorusElement(ctx, {exp: draw(coeffs) for exp in exps})
+
+    return ctx, element(left), element(right)
+
+
+class TestTranslationProduct:
+    """A product with a one-term factor maps the other side's terms without
+    accumulating them; at every n and operand shape it must equal the
+    pairwise rule T^g T^d = q^e(g,d) T^(g+d) and store no zero coefficient."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shaped_operands())
+    def test_matches_pairwise_exponents(self, operands):
+        ctx, x, y = operands
+        expected = {}
+        for g, cg in x.terms.items():
+            for d, cd in y.terms.items():
+                exp = tuple(a + b for a, b in zip(g, d))
+                e = commutation_exponent(ctx, g, d)
+                coeff = cg * cd * RationalFunction.q_power(e)
+                expected[exp] = expected[exp] + coeff if exp in expected else coeff
+        product = x * y
+        assert product.terms == {exp: c for exp, c in expected.items() if c}
+        assert all(product.terms.values())
+
 
 class TestSubtraction:
     """x - y accumulates -c term by term; it must equal x + (-y), with the
