@@ -464,15 +464,6 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     return HH1Coordinates(ctx, inner, mu)
 
 
-def _weighted_basis(
-    ctx: AlgebraContext, j: int, weight: DetPolynomial
-) -> DerivationSpec:
-    """mu_j(det_q) * D_j for the one weight mu_j."""
-    return _weighted_basis_sum(
-        ctx, [weight if k == j else {} for k in range(1, 2 * ctx.n)]
-    )
-
-
 def _weighted_basis_sum(
     ctx: AlgebraContext, mu: list[DetPolynomial]
 ) -> DerivationSpec:

@@ -155,20 +155,6 @@ def det_poly_to_json(p: DetPolynomial) -> list:
     return [[k, p[k].to_json()] for k in sorted(p)]
 
 
-def det_poly_from_json(data) -> DetPolynomial:
-    _require(isinstance(data, list), "weight polynomial must be a list")
-    out: DetPolynomial = {}
-    for pair in data:
-        _require(
-            isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0]),
-            "weight entries must be [power, coefficient] pairs",
-        )
-        coeff = rf_from_json(pair[1])
-        if coeff:
-            out[pair[0]] = coeff
-    return out
-
-
 def hh1_to_json(coords: HH1Coordinates) -> dict:
     out = {
         "inner": element_to_json(coords.inner),

@@ -17,7 +17,7 @@ from itertools import product as _iproduct
 from .context import build_context
 from .derivations import (
     DerivationSpec,
-    _weighted_basis,
+    _weighted_basis_sum,
     ad,
     basis_derivation,
     central_scaling_spec,
@@ -185,9 +185,6 @@ def run_suite(n: int, canonical: bool = False) -> VerificationReport:
     table = build_table(ctx)
     rng = random.Random(SUITE_SEED + n)
     report = VerificationReport(n, canonical=canonical)
-    # the costly checks (HH¹ coordinates, round trips, rebase) run for
-    # n <= 4; the gate only bites once SUITE_MAX_N is raised past 4
-    heavy = n <= 4
 
     def failing(entries):
         bad = [e for e in entries if not e["ok"]]
@@ -366,127 +363,123 @@ def run_suite(n: int, canonical: bool = False) -> VerificationReport:
         z_condition_check,
     )
 
-    if heavy:
-        def hh1_basis_check(jj):
-            coords = express_hh1(table, basis_derivation(ctx, jj))
-            if coords.inner.terms:
-                return f"basis {jj}: nonzero inner part {coords.inner!r}"
-            for k in range(1, 2 * n):
-                expected = {0: RF_ONE} if k == jj else {}
-                if coords.mu[k - 1] != expected:
-                    return f"basis {jj}: weight {k} is {coords.mu[k - 1]}"
-            return True
+    def hh1_basis_check(jj):
+        coords = express_hh1(table, basis_derivation(ctx, jj))
+        if coords.inner.terms:
+            return f"basis {jj}: nonzero inner part {coords.inner!r}"
+        for k in range(1, 2 * n):
+            expected = {0: RF_ONE} if k == jj else {}
+            if coords.mu[k - 1] != expected:
+                return f"basis {jj}: weight {k} is {coords.mu[k - 1]}"
+        return True
 
-        for j in range(1, 2 * n):
-            report.add(
-                f"hh1-01-basis-{j:02d}",
-                f"the coordinates of diagonal spec {j} are the {j}-th unit vector"
-                " with zero inner part",
-                (lambda jj: lambda: hh1_basis_check(jj))(j),
-            )
-
-        def hh1_inner_check():
-            x = MatrixAlgebraElement.generator(ctx, (1, 2))
-            coords = express_hh1(table, ad(x))
-            if any(coords.mu):
-                return f"inner spec produced weights {coords.mu}"
-            if (ad(coords.inner) - ad(x)).is_zero():
-                return True
-            return "recovered inner part generates a different inner derivation"
-
+    for j in range(1, 2 * n):
         report.add(
-            "hh1-02-inner",
-            "an inner derivation has zero weights and is recovered up to centre",
-            hh1_inner_check,
+            f"hh1-01-basis-{j:02d}",
+            f"the coordinates of diagonal spec {j} are the {j}-th unit vector"
+            " with zero inner part",
+            (lambda jj: lambda: hh1_basis_check(jj))(j),
         )
 
-        def hh1_reconstruction_check():
-            for _ in range(3):
-                x = _random_matrix_element(ctx, rng)
-                d = ad(x)
-                for j in range(1, 2 * n):
-                    mu = _random_mu_poly(ctx, rng)
-                    if mu:
-                        d = d + _weighted_basis(ctx, j, mu)
-                express_hh1(table, d)  # raises on any reconstruction failure
+    def hh1_inner_check():
+        x = MatrixAlgebraElement.generator(ctx, (1, 2))
+        coords = express_hh1(table, ad(x))
+        if any(coords.mu):
+            return f"inner spec produced weights {coords.mu}"
+        if (ad(coords.inner) - ad(x)).is_zero():
             return True
+        return "recovered inner part generates a different inner derivation"
 
-        report.add(
-            "hh1-03-reconstruction",
-            "randomized inner-plus-diagonal derivations decompose and"
-            " reconstruct exactly",
-            hh1_reconstruction_check,
+    report.add(
+        "hh1-02-inner",
+        "an inner derivation has zero weights and is recovered up to centre",
+        hh1_inner_check,
+    )
+
+    def hh1_reconstruction_check():
+        for _ in range(3):
+            x = _random_matrix_element(ctx, rng)
+            mu = [_random_mu_poly(ctx, rng) for _ in range(2 * n - 1)]
+            d = ad(x) + _weighted_basis_sum(ctx, mu)
+            express_hh1(table, d)  # raises on any reconstruction failure
+        return True
+
+    report.add(
+        "hh1-03-reconstruction",
+        "randomized inner-plus-diagonal derivations decompose and"
+        " reconstruct exactly",
+        hh1_reconstruction_check,
+    )
+
+    def roundtrip_check():
+        for _ in range(5):
+            x = _random_noncentral_torus(ctx, rng)
+            z = {gen: _random_central(ctx, rng) for gen in ctx.generators}
+            d = ad(x) + central_scaling_spec(ctx, z)
+            dec = decompose_torus_derivation(d)
+            if (dec.x - x):
+                return f"inner part differs: {dec.x!r} vs {x!r}"
+            for gen in ctx.generators:
+                if (dec.z[gen] - z[gen]):
+                    return f"weight at {gen} differs"
+        return True
+
+    report.add(
+        "torus-01-roundtrip",
+        "randomized inner-plus-central torus derivations decompose into"
+        " exactly the ingredients used to build them",
+        roundtrip_check,
+    )
+
+    def leibniz_check():
+        d = basis_derivation(ctx, 1) + ad(
+            MatrixAlgebraElement.generator(ctx, (1, 1))
         )
+        for _ in range(3):
+            x = _random_matrix_element(ctx, rng)
+            y = _random_matrix_element(ctx, rng)
+            lhs = leibniz_extend(d, x * y)
+            rhs = leibniz_extend(d, x) * y + x * leibniz_extend(d, y)
+            if (lhs - rhs):
+                return "product rule fails on a random pair"
+        return True
 
-        def roundtrip_check():
-            for _ in range(5):
-                x = _random_noncentral_torus(ctx, rng)
-                z = {gen: _random_central(ctx, rng) for gen in ctx.generators}
-                d = ad(x) + central_scaling_spec(ctx, z)
-                dec = decompose_torus_derivation(d)
-                if (dec.x - x):
-                    return f"inner part differs: {dec.x!r} vs {x!r}"
-                for gen in ctx.generators:
-                    if (dec.z[gen] - z[gen]):
-                        return f"weight at {gen} differs"
-            return True
+    report.add(
+        "derivation-03-leibniz",
+        "the extension of a derivation satisfies the product rule on"
+        " random pairs",
+        leibniz_check,
+    )
 
-        report.add(
-            "torus-01-roundtrip",
-            "randomized inner-plus-central torus derivations decompose into"
-            " exactly the ingredients used to build them",
-            roundtrip_check,
-        )
+    def embed_hom_check():
+        for _ in range(3):
+            x = _random_matrix_element(ctx, rng)
+            y = _random_matrix_element(ctx, rng)
+            if (embed(table, x * y) - embed(table, x) * embed(table, y)):
+                return "embedding is not multiplicative on a random pair"
+        return True
 
-        def leibniz_check():
-            d = basis_derivation(ctx, 1) + ad(
-                MatrixAlgebraElement.generator(ctx, (1, 1))
-            )
-            for _ in range(3):
-                x = _random_matrix_element(ctx, rng)
-                y = _random_matrix_element(ctx, rng)
-                lhs = leibniz_extend(d, x * y)
-                rhs = leibniz_extend(d, x) * y + x * leibniz_extend(d, y)
-                if (lhs - rhs):
-                    return "product rule fails on a random pair"
-            return True
+    report.add(
+        "tower-06-homomorphism",
+        "the torus embedding is multiplicative on random pairs",
+        embed_hom_check,
+    )
 
-        report.add(
-            "derivation-03-leibniz",
-            "the extension of a derivation satisfies the product rule on"
-            " random pairs",
-            leibniz_check,
-        )
+    def rebase_roundtrip_check():
+        top = ctx.top_step()
+        for _ in range(3):
+            x = _random_matrix_element(ctx, rng)
+            coords = rebase_to_step(table, top, embed(table, x))
+            if coords != dict(x.terms):
+                return "round trip through the torus altered the expansion"
+        return True
 
-        def embed_hom_check():
-            for _ in range(3):
-                x = _random_matrix_element(ctx, rng)
-                y = _random_matrix_element(ctx, rng)
-                if (embed(table, x * y) - embed(table, x) * embed(table, y)):
-                    return "embedding is not multiplicative on a random pair"
-            return True
-
-        report.add(
-            "tower-06-homomorphism",
-            "the torus embedding is multiplicative on random pairs",
-            embed_hom_check,
-        )
-
-        def rebase_roundtrip_check():
-            top = ctx.top_step()
-            for _ in range(3):
-                x = _random_matrix_element(ctx, rng)
-                coords = rebase_to_step(table, top, embed(table, x))
-                if coords != dict(x.terms):
-                    return "round trip through the torus altered the expansion"
-            return True
-
-        report.add(
-            "tower-07-rebase",
-            "converting an embedded element back to top-step coordinates"
-            " returns the original expansion",
-            rebase_roundtrip_check,
-        )
+    report.add(
+        "tower-07-rebase",
+        "converting an embedded element back to top-step coordinates"
+        " returns the original expansion",
+        rebase_roundtrip_check,
+    )
 
     sl_indices = [1, 2] if n == 2 else [i for i in range(1, 2 * n) if i != n]
     for i in sl_indices:
@@ -497,20 +490,19 @@ def run_suite(n: int, canonical: bool = False) -> VerificationReport:
             (lambda ii: lambda: annihilates_qdet(sl_basis_derivation(ctx, ii)))(i),
         )
 
-    if heavy:
-        def mu_sum_check():
-            for i in sl_indices:
-                coords = express_hh1(table, sl_basis_derivation(ctx, i))
-                if not mu_sum_constraint(coords):
-                    return f"combination {i} violates the weight-sum relation"
-            return True
+    def mu_sum_check():
+        for i in sl_indices:
+            coords = express_hh1(table, sl_basis_derivation(ctx, i))
+            if not mu_sum_constraint(coords):
+                return f"combination {i} violates the weight-sum relation"
+        return True
 
-        report.add(
-            "sl-02-weight-sum",
-            "coordinates of determinant-annihilating combinations satisfy"
-            " the weight-sum relation",
-            mu_sum_check,
-        )
+    report.add(
+        "sl-02-weight-sum",
+        "coordinates of determinant-annihilating combinations satisfy"
+        " the weight-sum relation",
+        mu_sum_check,
+    )
 
     report.add(
         "sigma-01-det-fixed",

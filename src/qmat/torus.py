@@ -11,10 +11,13 @@ where e(g, d) = sum over flat positions a < b of g_b * d_a * B[b][a]
 (the cost of moving each factor of T^d left past the larger-index factors
 of T^g).
 
-A product with a one-term factor T^t is a translation x -> x + t of the
-other side's exponents: injective, and Q(q) has no zero divisors, so no two
-terms collide or cancel.  ``build_table``'s pivot inverse, Horner's scalar
-starts in ``embed`` and ``embed_monomial_at_step`` all multiply this way.
+A product has one path: the larger factor is translated by each term T^t
+of the smaller one, x -> x + t on its exponents.  A translation is
+injective and Q(q) has no zero divisors, so the terms of one translate
+never collide or cancel and are built in one pass; the translates are
+then summed.  A one-term factor, as in ``build_table``'s pivot inverse,
+Horner's scalar starts in ``embed`` and ``embed_monomial_at_step``, makes
+the product a single translation.
 """
 
 from __future__ import annotations
@@ -64,20 +67,20 @@ class TorusElement(SparseElement):
         return len(self.terms) == 1
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
+        # translate the larger side by each term T^t of the smaller one.  With
+        # L the strictly lower part of B, the form of e is built once per t:
+        # u = L t for t on the right (B is skew: u[k] = -sum over j < k of
+        # t_j B[j][k]), w = t^T L on the left.  x -> x + t is injective and
+        # Q(q) has no zero divisors, so no two terms of one translate collide
+        # or cancel; only later translates are accumulated.
         self._check_operand(other)
-        ctx = self.ctx
-        B = ctx.B
+        B = self.ctx.B
         nn = len(B)
-        result = TorusElement(ctx)
-        if len(other.terms) == 1 or len(self.terms) == 1:
-            # translation by the one-term side T^t: x -> x + t is injective
-            # and Q(q) has no zero divisors, so nothing collides or cancels;
-            # the form of e is built once, u = L t for t on the right (B is
-            # skew: u[k] = -sum over j < k of t_j B[j][k]), w = t^T L on the left
-            t_right = len(other.terms) == 1
-            one, rest = (other, self) if t_right else (self, other)
-            check_terms(len(rest.terms), "torus product")
-            (t, ct), = one.terms.items()
+        t_right = len(other.terms) <= len(self.terms)
+        small, large = (other, self) if t_right else (self, other)
+        check_terms(len(large.terms), "torus product")
+        out: dict[ExponentVector, RationalFunction] = {}
+        for t, ct in small.terms.items():
             f = [0] * nn
             for j, tj in enumerate(t):
                 if tj:
@@ -85,29 +88,17 @@ class TorusElement(SparseElement):
                     for k in range(j + 1, nn) if t_right else range(j):
                         f[k] += tj * row[k]
             form = [(k, -fk if t_right else fk) for k, fk in enumerate(f) if fk]
-            result.terms = {
+            translate = {
                 tuple(map(add, x, t)): ct.__mul__(cx, sum([x[k] * fk for k, fk in form]))
-                for x, cx in rest.terms.items()
+                for x, cx in large.terms.items()
             }
-            return result
-        # e(g, d) = w . d with w = g^T L, L the strictly lower part of B;
-        # w is built once per left term and the dot runs over d's support.
-        right = [
-            (d, cd, [(a, da) for a, da in enumerate(d) if da])
-            for d, cd in other.terms.items()
-        ]
-        out: dict[ExponentVector, RationalFunction] = {}
-        for g, cg in self.terms.items():
-            w = [0] * nn
-            for b, gb in enumerate(g):
-                if gb:
-                    row = B[b]
-                    for a in range(b):
-                        w[a] += gb * row[a]
-            for d, cd, support in right:
-                e = sum([w[a] * da for a, da in support])
-                add_into(out, tuple(map(add, g, d)), cg.__mul__(cd, e))
+            if out:
+                for exp, c in translate.items():
+                    add_into(out, exp, c)
+            else:
+                out = translate
         check_terms(len(out), "torus product")
+        result = TorusElement(self.ctx)
         result.terms = out
         return result
 

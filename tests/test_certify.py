@@ -27,7 +27,6 @@ from qmat.cli import main
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
-    _weighted_basis,
     _weighted_basis_sum,
     ad,
     basis_derivation,
@@ -166,7 +165,7 @@ def test_single_weight_matches_per_basis_product():
     weight = {0: Q(1), 2: -RF_ONE}
     for j in range(1, 6):
         mu = [weight if k == j else {} for k in range(1, 6)]
-        assert _weighted_basis(ctx, j, weight) == _per_basis_sum(ctx, mu)
+        assert _weighted_basis_sum(ctx, mu) == _per_basis_sum(ctx, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def test_single_weight_matches_per_basis_product():
 def test_check_skipped_on_success(check_calls, decompose_calls):
     ctx = build_context(3)
     x = MatrixAlgebraElement.generator(ctx, (1, 2))
-    d = ad(x) + _weighted_basis(ctx, 2, {1: Q(1)})
+    d = ad(x) + _weighted_basis_sum(ctx, [{}, {1: Q(1)}, {}, {}, {}])
     coords = express_hh1(TABLES[3], d)
     assert coords.mu[1] == {1: Q(1)}
     assert check_calls == []

@@ -6,7 +6,7 @@ from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
     _det_poly_of_central,
-    _weighted_basis,
+    _weighted_basis_sum,
     ad,
     annihilates_qdet,
     basis_derivation,
@@ -338,7 +338,7 @@ class TestExpress:
 
     def test_det_weighted_basis(self, t2):
         ctx = t2.ctx
-        d = _weighted_basis(ctx, 1, {1: RF_ONE})
+        d = _weighted_basis_sum(ctx, [{1: RF_ONE}, {}, {}])
         coords = express_hh1(t2, d)
         assert coords.mu[0] == {1: RF_ONE}
         assert coords.mu[1] == {} and coords.mu[2] == {}
@@ -351,7 +351,8 @@ class TestExpress:
     def test_mixed_recovery(self, t3):
         ctx = t3.ctx
         x = Y(ctx, 1, 2) * Y(ctx, 2, 1)
-        d = ad(x) + _weighted_basis(ctx, 4, {0: RationalFunction.q_power(2)})
+        mu = [{0: RationalFunction.q_power(2)} if k == 4 else {} for k in range(1, 6)]
+        d = ad(x) + _weighted_basis_sum(ctx, mu)
         coords = express_hh1(t3, d)
         assert coords.mu[3] == {0: RationalFunction.q_power(2)}
         assert sum(len(m) for k, m in enumerate(coords.mu) if k != 3) == 0

@@ -10,8 +10,6 @@ from qmat.rational import RationalFunction
 from qmat.serialize import (
     derivation_from_json,
     derivation_to_json,
-    det_poly_from_json,
-    det_poly_to_json,
     element_from_json,
     element_to_json,
     hh1_to_json,
@@ -220,11 +218,3 @@ class TestHH1:
         assert data["mu"][0] == [[0, {"num": [1], "den": [1]}]]
         assert data["mu"][1] == [] and data["mu"][2] == []
         assert data["inner"]["terms"] == []
-
-    def test_det_poly_boolean_power_rejected(self):
-        with pytest.raises(ParseError):
-            det_poly_from_json([[True, {"num": [1], "den": [1]}]])
-
-    def test_det_poly_round_trip(self):
-        p = {0: RationalFunction.q_power(1), 2: RationalFunction.from_int(-3)}
-        assert det_poly_from_json(det_poly_to_json(p)) == p

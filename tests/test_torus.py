@@ -7,7 +7,9 @@ from qmat.errors import (
     IndexOutOfRangeError,
     NotAMonomialError,
     NotInLatticeError,
+    ResourceLimitError,
 )
+from qmat.limits import get_max_terms, restored_max_terms, set_max_terms
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.torus import (
     SubalgebraPattern,
@@ -95,8 +97,11 @@ class TestCommutation:
 
 
 # operand shapes (terms on the left, terms on the right): one-term left,
-# one-term right, both one-term, a zero operand, and multi x multi
-SHAPES = [(1, 3), (3, 1), (1, 1), (0, 1), (1, 0), (0, 3), (3, 0), (3, 3)]
+# one-term right, both one-term, a zero operand, and multi x multi with the
+# smaller side on either side or of equal size
+SHAPES = [
+    (1, 3), (3, 1), (1, 1), (0, 1), (1, 0), (0, 3), (3, 0), (3, 3), (2, 4), (4, 2),
+]
 
 
 @st.composite
@@ -122,9 +127,9 @@ def shaped_operands(draw):
 
 
 class TestTranslationProduct:
-    """A product with a one-term factor maps the other side's terms without
-    accumulating them; at every n and operand shape it must equal the
-    pairwise rule T^g T^d = q^e(g,d) T^(g+d) and store no zero coefficient."""
+    """A product translates the larger factor by each term of the smaller
+    one; at every n and operand shape it must equal the pairwise rule
+    T^g T^d = q^e(g,d) T^(g+d) and store no zero coefficient."""
 
     @settings(max_examples=150, deadline=None)
     @given(shaped_operands())
@@ -140,6 +145,44 @@ class TestTranslationProduct:
         product = x * y
         assert product.terms == {exp: c for exp, c in expected.items() if c}
         assert all(product.terms.values())
+
+    @staticmethod
+    def guard_operands():
+        ctx = build_context(2)
+        t = {gen: TorusElement.generator(ctx, gen) for gen in ctx.generators}
+        small = t[(1, 1)] + t[(1, 2)]
+        large = TorusElement.one(ctx) + t[(2, 1)] + t[(2, 2)] + t[(2, 1)] * t[(2, 1)]
+        return ((small, large), (large, small))
+
+    def test_term_guard_checks_larger_side_first(self, monkeypatch):
+        pairs = self.guard_operands()
+        saved = get_max_terms()
+        products = []
+        real_mul = RationalFunction.__mul__
+
+        def counting_mul(self, other, e=0):
+            products.append(e)
+            return real_mul(self, other, e)
+
+        monkeypatch.setattr(RationalFunction, "__mul__", counting_mul)
+        with restored_max_terms():
+            set_max_terms(3)  # the 4-term side alone is over the limit
+            for x, y in pairs:
+                with pytest.raises(ResourceLimitError):
+                    x * y
+        assert products == []  # no coefficient was built
+        assert get_max_terms() == saved
+
+    def test_term_guard_checks_result(self):
+        saved = get_max_terms()
+        with restored_max_terms():
+            set_max_terms(4)  # both operands fit, the 8-term result does not
+            for x, y in self.guard_operands():
+                with pytest.raises(ResourceLimitError):
+                    x * y
+        assert get_max_terms() == saved
+        for x, y in self.guard_operands():
+            assert len((x * y).terms) == 8
 
 
 class TestSubtraction:
