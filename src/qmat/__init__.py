@@ -38,7 +38,6 @@ from .rational import RF_ONE, RF_ZERO, RationalFunction
 from .torus import (
     SubalgebraPattern,
     TorusElement,
-    delta_element,
     delta_exponents,
     is_central_monomial,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "RF_ZERO",
     "SubalgebraPattern",
     "TorusElement",
-    "delta_element",
     "delta_exponents",
     "is_central_monomial",
     "StepGeneratorTable",

@@ -284,33 +284,35 @@ def _lift(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpec:
     """The torus extension of a quantum-matrix spec, without checking it.
 
     The images of the top-step entries are the embedded generator images;
-    the tower recursion is then unwound step by step, differentiating the
-    pivot inverses with D(t^{-1}) = -t^{-1} D(t) t^{-1}, until the bottom
-    step, where the entries are the torus generators themselves.
+    the tower recursion is then unwound step by step until the bottom
+    step, where the entries are the torus generators themselves.  Step
+    (j, b) added U * P^{-1} * L to entry (i, a), with U = entry (i, b),
+    L = entry (j, a) and the monomial pivot P = entry (j, b), none of which
+    the step changes; its image is subtracted by the quotient rule
+
+        D(U P^{-1} L) = D(U) (P^{-1} L) + (U P^{-1}) (D(L) - D(P) P^{-1} L),
+
+    with D(P) P^{-1} formed once per step, U P^{-1} once per row, and
+    P^{-1} L and D(L) - D(P) P^{-1} L once per column.
     """
     ctx = table.ctx
     cur = {gen: embed(table, d.images[gen]) for gen in ctx.generators}
     for idx in range(len(ctx.E) - 2, -1, -1):
-        r = ctx.E[idx]
-        j, b = r
+        j, b = ctx.E[idx]
         if j == 1 or b == 1:
             continue
-        nxt_entries = table.entries[ctx.E[idx + 1]]
-        pinv = nxt_entries[(j, b)].invert_monomial()
-        dp = cur[(j, b)]
-        dpinv = (pinv * dp * pinv).scale(-RF_ONE)
-        prev = dict(cur)
-        for i in range(1, j):
-            for a in range(1, b):
-                upper = nxt_entries[(i, b)]
-                left = nxt_entries[(j, a)]
-                correction = (
-                    cur[(i, b)] * pinv * left
-                    + upper * dpinv * left
-                    + upper * pinv * cur[(j, a)]
+        level = table.entries[ctx.E[idx + 1]]
+        pinv = level[(j, b)].invert_monomial()
+        dp_pinv = cur[(j, b)] * pinv
+        upper = [level[(i, b)] * pinv for i in range(1, j)]
+        for a in range(1, b):
+            left = level[(j, a)]
+            right = pinv * left
+            dright = cur[(j, a)] - dp_pinv * left
+            for i in range(1, j):
+                cur[(i, a)] = cur[(i, a)] - (
+                    cur[(i, b)] * right + upper[i - 1] * dright
                 )
-                prev[(i, a)] = cur[(i, a)] - correction
-        cur = prev
     return DerivationSpec(ctx, "torus", cur)
 
 

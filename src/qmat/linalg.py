@@ -59,11 +59,6 @@ def solve_linear_system(
     return solution
 
 
-def rational_rank(rows) -> int:
-    """Rank over Q of an integer matrix given as a list of rows."""
-    return len(_rref([[Fraction(c) for c in row] for row in rows]))
-
-
 def integer_kernel_basis(rows) -> list[tuple[int, ...]]:
     """Primitive integer vectors spanning the Q-kernel of an integer matrix."""
     ncols = len(rows[0])

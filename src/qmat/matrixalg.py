@@ -98,16 +98,10 @@ class MatrixAlgebraElement(SparseElement):
     LETTER = "Y"
     ALG = "Mq"
 
-    @classmethod
-    def monomial(
-        cls,
-        ctx: AlgebraContext,
-        exp: ExponentVector,
-        coeff: RationalFunction = RF_ONE,
-    ) -> "MatrixAlgebraElement":
-        if any(e < 0 for e in exp):
+    def __init__(self, ctx: AlgebraContext, terms: dict | None = None):
+        if terms and any(min(exp) < 0 for exp in terms):
             raise ValueError("quantum-matrix exponents must be natural numbers")
-        return super().monomial(ctx, exp, coeff)
+        super().__init__(ctx, terms)
 
     def __mul__(self, other: "MatrixAlgebraElement") -> "MatrixAlgebraElement":
         self._check_operand(other)

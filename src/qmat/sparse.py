@@ -52,7 +52,7 @@ class SparseElement:
     """Finite sum of normal-ordered monomials with Q(q) coefficients.
 
     Subclasses define ``__mul__`` and the generator letter ``LETTER``, and
-    may restrict the exponents admitted by ``monomial``.
+    may restrict the exponents that ``__init__`` admits.
     """
 
     __slots__ = ("ctx", "terms")
@@ -76,10 +76,7 @@ class SparseElement:
         exp: ExponentVector,
         coeff: RationalFunction = RF_ONE,
     ):
-        out = cls(ctx)
-        if coeff:
-            out.terms[tuple(exp)] = coeff
-        return out
+        return cls(ctx, {tuple(exp): coeff})
 
     @classmethod
     def generator(cls, ctx: AlgebraContext, gen: GeneratorIndex):

@@ -17,6 +17,7 @@ from itertools import product as _iproduct
 from .context import build_context
 from .derivations import (
     DerivationSpec,
+    _basis_sign,
     _weighted_basis_sum,
     ad,
     basis_derivation,
@@ -329,18 +330,13 @@ def run_suite(n: int, canonical: bool = False) -> VerificationReport:
             ]
         else:
             # a scalar sample: basis-weight patterns plus random 0/1 grids
-            patterns = []
-            for j in range(1, 2 * n):
-                base = basis_derivation(ctx, j)
-                weights = {}
-                for gen in ctx.generators:
-                    w = base.images[gen]
-                    weights[gen] = (
-                        next(iter(w.terms.values()))
-                        if w.terms
-                        else RationalFunction.from_int(0)
-                    )
-                patterns.append(weights)
+            patterns = [
+                {
+                    gen: RationalFunction.from_int(_basis_sign(n, j, *gen))
+                    for gen in ctx.generators
+                }
+                for j in range(1, 2 * n)
+            ]
             for _ in range(10):
                 patterns.append(
                     {

@@ -134,10 +134,6 @@ def delta_exponents(ctx: AlgebraContext, i: int) -> ExponentVector:
     return tuple(exp)
 
 
-def delta_element(ctx: AlgebraContext, i: int) -> TorusElement:
-    return TorusElement.monomial(ctx, delta_exponents(ctx, i))
-
-
 def delta_lattice_coordinates(
     ctx: AlgebraContext, g: ExponentVector
 ) -> tuple[int, ...]:

@@ -8,8 +8,10 @@ ascending the steps with pivot (j, b) = r adds the cross-term correction
 
 for i < j and a < b, and leaves every other entry unchanged.  The pivot
 entry is always the single monomial T(j, b), so the only inverses ever
-needed are monomial inverses.  The top step realises the embedding of the
-quantum-matrix algebra into the torus.
+needed are monomial inverses.  Row j, column b and the pivot are fixed by
+step (j, b), so P^{-1} * cur[(j, a)] is formed once per column a (and, in
+the lift, cur[(i, b)] * P^{-1} once per row i).  The top step realises the
+embedding of the quantum-matrix algebra into the torus.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ def build_table(ctx: AlgebraContext) -> StepGeneratorTable:
             if not pivot.is_monomial():
                 raise PivotNotMonomialError(f"pivot at step {r} is not a monomial")
             pinv = pivot.invert_monomial()
-            for i in range(1, j):
-                for a in range(1, b):
-                    nxt[(i, a)] = cur[(i, a)] + cur[(i, b)] * pinv * cur[(j, a)]
+            for a in range(1, b):
+                right = pinv * cur[(j, a)]
+                for i in range(1, j):
+                    nxt[(i, a)] = cur[(i, a)] + cur[(i, b)] * right
         table.entries[ctx.E[idx + 1]] = nxt
         cur = nxt
     return table
@@ -105,9 +108,7 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     multiplied by the next entry.  A monomial's image is built with
     ``embed_monomial_at_step`` and cached only the second time the table
     embeds that monomial: a table used once never builds an image, and a
-    shared table reaches the same warm cache one pass later.  A monomial
-    with a negative exponent (only a hand-built element has one) skips
-    Horner's rule and is built at once, inverting the entry if it can.
+    shared table reaches the same warm cache one pass later.
     """
     ctx = table.ctx
     require_operand("embed", x, MatrixAlgebraElement, ctx.n)
@@ -118,7 +119,7 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     for exp, coeff in x.terms.items():
         img = cache.get(exp)
         if img is None:
-            if exp not in seen and is_natural(exp):
+            if exp not in seen:
                 seen.add(exp)
                 rest[exp] = coeff
                 continue

@@ -6,6 +6,7 @@ its runtime budget.  All arithmetic is exact; there are no tolerances.
 
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -26,7 +27,7 @@ from qmat.derivations import (
     mu_sum_constraint,
     sl_basis_derivation,
 )
-from qmat.linalg import integer_kernel_basis, rational_rank
+from qmat.linalg import _rref, integer_kernel_basis
 from qmat.matrixalg import MatrixAlgebraElement, b_minor, qdet, sigma_automorphism
 from qmat.rational import RF_ONE
 from qmat.suite import (
@@ -86,6 +87,11 @@ def test_criterion_02_minor_monomials():
                 for gen in path:
                     expected = expected * TorusElement.generator(ctx, gen)
                 assert embed(TABLES[n], b_minor(ctx, i)) == expected
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of an integer matrix given as a list of rows."""
+    return len(_rref([[Fraction(c) for c in row] for row in rows]))
 
 
 def _zset_condition_matrix(ctx):

@@ -1,8 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from qmat.context import build_context
 from qmat.errors import IndexOutOfRangeError, InvalidDimensionError
-from qmat.linalg import integer_kernel_basis, rational_rank
+from qmat.linalg import _rref, integer_kernel_basis
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of an integer matrix given as a list of rows."""
+    return len(_rref([[Fraction(c) for c in row] for row in rows]))
 
 
 class TestCommutationMatrix:

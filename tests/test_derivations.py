@@ -6,6 +6,7 @@ from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
     _det_poly_of_central,
+    _lift,
     _weighted_basis_sum,
     ad,
     annihilates_qdet,
@@ -31,7 +32,7 @@ from qmat.errors import (
 )
 from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RF_ZERO, RationalFunction
-from qmat.torus import TorusElement, delta_element, is_central_monomial
+from qmat.torus import TorusElement, delta_exponents, is_central_monomial
 from qmat.tower import build_table, embed
 
 
@@ -51,6 +52,10 @@ def Y(ctx, i, a):
 
 def T(ctx, i, a):
     return TorusElement.generator(ctx, (i, a))
+
+
+def delta_element(ctx, i):
+    return TorusElement.monomial(ctx, delta_exponents(ctx, i))
 
 
 class TestLeibniz:
@@ -231,6 +236,100 @@ class TestLift:
         }
         with pytest.raises(NotADerivationError):
             lift_to_torus(t2, DerivationSpec(ctx, "Mq", images))
+
+
+def _lift_three_term(table, d):
+    """The tower lift as it was written before the quotient rule, kept as
+    the oracle: D(P^{-1}) built explicitly, a three-product sum per
+    correction and a copy of the level per step."""
+    ctx = table.ctx
+    cur = {gen: embed(table, d.images[gen]) for gen in ctx.generators}
+    for idx in range(len(ctx.E) - 2, -1, -1):
+        r = ctx.E[idx]
+        j, b = r
+        if j == 1 or b == 1:
+            continue
+        nxt_entries = table.entries[ctx.E[idx + 1]]
+        pinv = nxt_entries[(j, b)].invert_monomial()
+        dp = cur[(j, b)]
+        dpinv = (pinv * dp * pinv).scale(-RF_ONE)
+        prev = dict(cur)
+        for i in range(1, j):
+            for a in range(1, b):
+                upper = nxt_entries[(i, b)]
+                left = nxt_entries[(j, a)]
+                correction = (
+                    cur[(i, b)] * pinv * left
+                    + upper * dpinv * left
+                    + upper * pinv * cur[(j, a)]
+                )
+                prev[(i, a)] = cur[(i, a)] - correction
+        cur = prev
+    return DerivationSpec(ctx, "torus", cur)
+
+
+def _random_element(ctx, rng, terms=2, max_degree=2):
+    """terms monomials of degree 1..max_degree with coefficients c * q^k."""
+    nn = ctx.n * ctx.n
+    out = MatrixAlgebraElement(ctx)
+    for _ in range(terms):
+        exp = [0] * nn
+        for _ in range(rng.randint(1, max_degree)):
+            exp[rng.randrange(nn)] += 1
+        coeff = RationalFunction.from_int(rng.randint(1, 4)) * RationalFunction.q_power(
+            rng.randint(-2, 2)
+        )
+        out = out + MatrixAlgebraElement.monomial(ctx, tuple(exp), coeff)
+    return out
+
+
+def _mu_weighted_spec(ctx, rng):
+    """ad(x) + sum_j mu_j(det_q) D_j with random x and deg mu_j <= 1."""
+    mu = [
+        {
+            k: RationalFunction.from_int(rng.randint(1, 4))
+            * RationalFunction.q_power(rng.randint(-2, 2))
+            for k in range(2)
+            if rng.random() < 0.5
+        }
+        for _ in range(2 * ctx.n - 1)
+    ]
+    return ad(_random_element(ctx, rng)) + _weighted_basis_sum(ctx, mu)
+
+
+LIFT_TABLES = {n: build_table(build_context(n)) for n in (2, 3, 4)}
+
+
+class TestQuotientRuleLift:
+    """``_lift`` against the three-term correction it replaced."""
+
+    @staticmethod
+    def _assert_same_lift(table, d):
+        lifted = _lift(table, d)
+        expected = _lift_three_term(table, d)
+        for gen in table.ctx.generators:
+            assert lifted.images[gen] == expected.images[gen], gen
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_basis_derivations(self, n):
+        table = LIFT_TABLES[n]
+        for j in range(1, 2 * n):
+            self._assert_same_lift(table, basis_derivation(table.ctx, j))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_inner_derivations(self, n, seed):
+        table = LIFT_TABLES[n]
+        x = _random_element(table.ctx, random.Random(seed))
+        self._assert_same_lift(table, ad(x))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mu_weighted_specs(self, n, seed):
+        table = LIFT_TABLES[n]
+        self._assert_same_lift(
+            table, _mu_weighted_spec(table.ctx, random.Random(seed))
+        )
 
 
 class TestDecompose:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qmat.cli import main
 from qmat.context import build_context
-from qmat.linalg import integer_kernel_basis, rational_rank, solve_linear_system
+from qmat.linalg import _rref, integer_kernel_basis, solve_linear_system
 from qmat.matrixalg import normalize_word
 from qmat.rational import RF_ONE, RF_ZERO, RationalFunction
 from qmat.torus import TorusElement
@@ -19,6 +19,11 @@ from qmat.torus import TorusElement
 GOLDEN = Path(__file__).parent / "golden"
 Q = RationalFunction.q_power
 QDIFF = Q(1) - Q(-1)
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of an integer matrix given as a list of rows."""
+    return len(_rref([[Fraction(c) for c in row] for row in rows]))
 
 
 # ---------------------------------------------------------------------------

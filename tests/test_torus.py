@@ -15,7 +15,6 @@ from qmat.torus import (
     SubalgebraPattern,
     TorusElement,
     commutation_exponent,
-    delta_element,
     delta_exponents,
     delta_lattice_coordinates,
     is_central_monomial,
@@ -29,6 +28,10 @@ def exponent_vectors(n, bound=2):
         min_size=n * n,
         max_size=n * n,
     ).map(tuple)
+
+
+def delta_element(ctx, i):
+    return TorusElement.monomial(ctx, delta_exponents(ctx, i))
 
 
 class TestCommutation:

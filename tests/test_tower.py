@@ -214,13 +214,19 @@ class TestHornerEmbed:
             assert embed(table, x) == expected
         assert set(x.terms) <= set(table._embed_cache)
 
-    def test_negative_exponent_inverts_or_raises(self):
+    def test_construction_rejects_negative_exponent(self):
+        ctx = build_context(2)
+        with pytest.raises(ValueError):
+            MatrixAlgebraElement(ctx, {(0, 0, 0, -1): RF_ONE})
+
+    def test_step_monomial_inverts_or_raises(self):
         ctx = build_context(2)
         table = build_table(ctx)
-        inverse = MatrixAlgebraElement(ctx, {(0, 0, 0, -1): RF_ONE})
-        assert embed(table, inverse) == T(ctx, 2, 2).invert_monomial()
+        top = ctx.top_step()
+        inverse = embed_monomial_at_step(table, top, (0, 0, 0, -1))
+        assert inverse == T(ctx, 2, 2).invert_monomial()
         with pytest.raises(NotAMonomialError):
-            embed(table, MatrixAlgebraElement(ctx, {(-1, 0, 0, 0): RF_ONE}))
+            embed_monomial_at_step(table, top, (-1, 0, 0, 0))
 
     def test_images_built_on_second_use_only(self, monkeypatch):
         ctx = build_context(3)
