@@ -31,6 +31,17 @@ def _b_entry(n: int, k: int, l: int) -> int:
     return s if a == b else 0
 
 
+@lru_cache(maxsize=None)
+def sweep_cells(n: int, i: int) -> tuple[GeneratorIndex, ...]:
+    """Cells of the i-th antidiagonal minor b_i in row order: (k, n-i+k)
+    for k = 1..i when i <= n, (i-n+k, k) for k = 1..2n-i otherwise (none
+    at i = 0 and i = 2n).  Delta_i = b_i * b_{n+i}^{-1}; mu_i is read at
+    the first cell."""
+    if i <= n:
+        return tuple((k, n - i + k) for k in range(1, i + 1))
+    return tuple((i - n + k, k) for k in range(1, 2 * n - i + 1))
+
+
 def _relation(n: int, B, u: int, v: int):
     """Defining relation of the out-of-order pair at flat positions u > v.
 

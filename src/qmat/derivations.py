@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .context import AlgebraContext, GeneratorIndex
+from .context import AlgebraContext, GeneratorIndex, sweep_cells
 from .errors import (
     ConditionViolatedError,
     DimensionMismatchError,
@@ -29,7 +29,7 @@ from .errors import (
     QmatError,
 )
 from .matrixalg import MatrixAlgebraElement, qdet, relation_report
-from .rational import RF_ONE, RF_ZERO, RationalFunction
+from .rational import RF_ONE, RationalFunction
 from .sparse import add_into, require_operand
 from .torus import TorusElement, delta_exponents, is_central_monomial
 from .tower import (
@@ -51,11 +51,15 @@ class DerivationSpec:
         if alg not in ALGEBRAS:
             raise ValueError(f"unknown algebra tag {alg!r}")
         self.ctx = ctx
-        self.cls = ALGEBRAS[alg]
+        self.cls = cls = ALGEBRAS[alg]
         self.images = dict(images)
+        for gen, value in self.images.items():
+            if gen not in ctx.generators:
+                raise IndexOutOfRangeError(f"generator {gen} outside the grid")
+            require_operand(f"image of {gen}", value, cls, ctx.n)
         for gen in ctx.generators:
             if gen not in self.images:
-                self.images[gen] = self.cls(ctx)
+                self.images[gen] = cls(ctx)
 
     @property
     def alg(self) -> str:
@@ -236,11 +240,9 @@ def central_scaling_spec(
     ctx: AlgebraContext, z: dict[GeneratorIndex, TorusElement]
 ) -> DerivationSpec:
     """The diagonal torus spec T_a -> z_a * T_a for central weights z_a."""
-    images = {}
-    for gen in ctx.generators:
-        weight = z.get(gen)
-        g = TorusElement.generator(ctx, gen)
-        images[gen] = g.scale(RF_ZERO) if weight is None else weight * g
+    images = {
+        gen: weight * TorusElement.generator(ctx, gen) for gen, weight in z.items()
+    }
     return DerivationSpec(ctx, "torus", images)
 
 
@@ -436,8 +438,9 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     """Write a quantum-matrix derivation as ad_x + sum_j mu_j D_j.
 
     Lift to the torus and split off the inner part there, unchecked; read
-    mu_j off the central weight of the j-th reader generator (1,n), ...,
-    (1,2), (1,1), (2,1), ..., (n,1): D_j scales it, no other D_k does.
+    mu_j off the central weight of the j-th reader generator, the first
+    cell of b_j ((1,n), ..., (1,1), (2,1), ..., (n,1)): D_j scales it, no
+    other D_k does.
 
     The one certificate is the zero residual d - ad_x - sum_j mu_j(det_q)
     D_j on every generator.  It proves the coordinates, and it proves that
@@ -452,7 +455,7 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     if d.alg != "Mq":
         raise DimensionMismatchError("express_hh1 expects a quantum-matrix spec")
     require_operand("express_hh1", d, DerivationSpec, n)
-    readers = [(1, a) for a in range(n, 0, -1)] + [(i, 1) for i in range(2, n + 1)]
+    readers = [sweep_cells(n, j)[0] for j in range(1, 2 * n)]
     with rejecting_non_derivations(d):
         dec = _split(_lift(table, d))
         mu = [_det_poly_of_central(dec.z[g]) for g in readers]

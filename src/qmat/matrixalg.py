@@ -20,11 +20,11 @@ from __future__ import annotations
 from itertools import permutations
 from math import factorial
 
-from .context import AlgebraContext
+from .context import AlgebraContext, sweep_cells
 from .errors import IndexOutOfRangeError
 from .limits import check_terms
 from .rational import RF_ONE, RationalFunction
-from .sparse import ExponentVector, SparseElement, add_into
+from .sparse import ExponentVector, SparseElement, add_into, require_operand
 
 # q - q^{-1}, the coefficient of the cross term in the defining relations
 QDIFF = RationalFunction.q_power(1) - RationalFunction.q_power(-1)
@@ -99,9 +99,9 @@ class MatrixAlgebraElement(SparseElement):
     ALG = "Mq"
 
     def __init__(self, ctx: AlgebraContext, terms: dict | None = None):
+        super().__init__(ctx, terms)
         if terms and any(min(exp) < 0 for exp in terms):
             raise ValueError("quantum-matrix exponents must be natural numbers")
-        super().__init__(ctx, terms)
 
     def __mul__(self, other: "MatrixAlgebraElement") -> "MatrixAlgebraElement":
         self._check_operand(other)
@@ -169,22 +169,19 @@ def qdet(ctx: AlgebraContext) -> MatrixAlgebraElement:
 
 
 def b_minor(ctx: AlgebraContext, i: int) -> MatrixAlgebraElement:
-    """The i-th leading quantum minor along the antidiagonal sweep:
-    rows 1..i against columns n-i+1..n for i <= n, rows i-n+1..n against
-    columns 1..2n-i for i > n; trivial at the endpoints."""
+    """The i-th quantum minor along the antidiagonal sweep, on the rows
+    and columns of ``sweep_cells(n, i)``; 1 at i = 0 and i = 2n."""
     n = ctx.n
     if not (0 <= i <= 2 * n):
         raise IndexOutOfRangeError(f"minor index {i} outside [0, {2 * n}]")
-    if i == 0 or i == 2 * n:
-        return MatrixAlgebraElement.one(ctx)
-    if i <= n:
-        return qminor(ctx, range(1, i + 1), range(n - i + 1, n + 1))
-    return qminor(ctx, range(i - n + 1, n + 1), range(1, 2 * n - i + 1))
+    cells = sweep_cells(n, i)
+    return qminor(ctx, [r for r, _ in cells], [c for _, c in cells])
 
 
 def sigma_automorphism(x: MatrixAlgebraElement) -> MatrixAlgebraElement:
     """The scaling automorphism Y(i,a) -> q^{2(n+1-i-a)} Y(i,a), applied
     term-wise."""
+    require_operand("sigma_automorphism", x, MatrixAlgebraElement)
     ctx = x.ctx
     n = ctx.n
     out = MatrixAlgebraElement(ctx)

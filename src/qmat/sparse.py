@@ -40,11 +40,13 @@ def _describe(x) -> str:
     return type(x).__name__ + (f" (n = {ctx.n})" if ctx else "")
 
 
-def require_operand(where: str, x, cls, n: int) -> None:
-    """Raise DimensionMismatchError unless x is a ``cls`` over n x n."""
-    if type(x) is not cls or x.ctx.n != n:
+def require_operand(where: str, x, cls, n: int | None = None) -> None:
+    """Raise DimensionMismatchError unless x is a ``cls``, over n x n when
+    n is given."""
+    if type(x) is not cls or n is not None and x.ctx.n != n:
+        size = "" if n is None else f" (n = {n})"
         raise DimensionMismatchError(
-            f"{where} expects a {cls.__name__} (n = {n}), got {_describe(x)}"
+            f"{where} expects a {cls.__name__}{size}, got {_describe(x)}"
         )
 
 
@@ -63,7 +65,12 @@ class SparseElement:
         self.ctx = ctx
         self.terms: dict[ExponentVector, RationalFunction] = {}
         if terms:
+            nn = ctx.n * ctx.n
             for exp, coeff in terms.items():
+                if len(exp) != nn:
+                    raise DimensionMismatchError(
+                        f"exponent vector {exp} has length {len(exp)}, not {nn}"
+                    )
                 if coeff:
                     self.terms[exp] = coeff
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .context import AlgebraContext
+from .context import AlgebraContext, sweep_cells
 from .errors import IndexOutOfRangeError, NotAMonomialError, NotInLatticeError
 from .limits import check_terms
 from .rational import RationalFunction
@@ -120,18 +120,30 @@ class TorusElement(SparseElement):
 
 
 def delta_exponents(ctx: AlgebraContext, i: int) -> ExponentVector:
-    """Exponent vector of the i-th distinguished central monomial:
-    +1 along the superdiagonal starting at (1, n-i+1), -1 along the
-    subdiagonal starting at (i+1, 1)."""
+    """Exponent vector of Delta_i = b_i * b_{n+i}^{-1}: +1 on the cells of
+    b_i, -1 on the cells of b_{n+i}."""
     n = ctx.n
     if not (1 <= i <= n):
         raise IndexOutOfRangeError(f"delta index {i} outside [1, {n}]")
-    exp = [0] * (n * n)
-    for k in range(1, i + 1):
-        exp[ctx.flat(k, n - i + k)] = 1
-    for m in range(1, n - i + 1):
-        exp[ctx.flat(i + m, m)] = -1
-    return tuple(exp)
+    up, down = sweep_cells(n, i), sweep_cells(n, n + i)
+    return tuple((gen in up) - (gen in down) for gen in ctx.generators)
+
+
+def zset_conditions(ctx: AlgebraContext, g: ExponentVector) -> bool:
+    """True iff, for every i in [1, n], the exponents are one value v on
+    the cells of b_i (a superdiagonal) and -v on the cells of b_{n+i}
+    (the matching subdiagonal)."""
+    n = ctx.n
+    if len(g) != n * n:
+        return False
+    for i in range(1, n + 1):
+        upper = sweep_cells(n, i)
+        v = g[ctx.flat(*upper[0])]
+        for sign, cells in ((1, upper), (-1, sweep_cells(n, n + i))):
+            for cell in cells:
+                if g[ctx.flat(*cell)] != sign * v:
+                    return False
+    return True
 
 
 def delta_lattice_coordinates(
@@ -139,24 +151,16 @@ def delta_lattice_coordinates(
 ) -> tuple[int, ...]:
     """Integer k with g = sum_i k_i * delta_exponents(i), if it exists.
 
-    The delta supports are pairwise disjoint with entries +-1, so each k_i
-    can be read off one coordinate; the full vector is then verified.
+    The delta supports partition the grid with entries +-1, so g is in the
+    lattice iff ``zset_conditions`` holds, and k_i is read at the first
+    cell of b_i.
     """
-    n = ctx.n
-    k = []
-    for i in range(1, n + 1):
-        # entry at (1, n-i+1) is +k_i
-        k.append(g[ctx.flat(1, n - i + 1)])
-    total = [0] * (n * n)
-    for i in range(1, n + 1):
-        if k[i - 1]:
-            for pos, e in enumerate(delta_exponents(ctx, i)):
-                total[pos] += k[i - 1] * e
-    if tuple(total) != tuple(g):
+    if not zset_conditions(ctx, g):
         raise NotInLatticeError(
             f"exponent vector {g} is not in the central lattice"
         )
-    return tuple(k)
+    n = ctx.n
+    return tuple(g[ctx.flat(*sweep_cells(n, i)[0])] for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,26 +185,3 @@ class SubalgebraPattern:
         return all(
             e >= 0 or ok for e, ok in zip(exp, self.allow_negative)
         )
-
-
-# ---------------------------------------------------------------------------
-# diagonal-chain description of central monomials
-
-
-def zset_conditions(ctx: AlgebraContext, g: ExponentVector) -> bool:
-    """True iff the exponents are constant along each superdiagonal and
-    anti-constant along the matching subdiagonal:
-
-    for every b in [1, n], the entries at (1,b), (2,b+1), ..., (n-b+1,n)
-    coincide and equal the negated entries at (n-b+2,1), ..., (n,b-1).
-    """
-    n = ctx.n
-    for b in range(1, n + 1):
-        v = g[ctx.flat(1, b)]
-        for k in range(2, n - b + 2):
-            if g[ctx.flat(k, b + k - 1)] != v:
-                return False
-        for m in range(1, b):
-            if g[ctx.flat(n - b + 1 + m, m)] != -v:
-                return False
-    return True

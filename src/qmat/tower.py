@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .context import AlgebraContext, GeneratorIndex, StepIndex
+from .context import AlgebraContext, GeneratorIndex, StepIndex, sweep_cells
 from .errors import NotAMonomialError, NotInSpanError, PivotNotMonomialError
 from .limits import check_terms
 from .matrixalg import MatrixAlgebraElement, b_minor, qdet, relation_report
@@ -181,8 +181,11 @@ def verify_relations_preserved(table: StepGeneratorTable) -> list[dict]:
 
 
 def verify_step_factorizations(table: StepGeneratorTable) -> list[dict]:
-    """Check the one-step factorisations of the determinant and of the two
-    length-(n-1) antidiagonal minors at the step just below the top."""
+    """Check the factorisations of the determinant and of the two
+    length-(n-1) antidiagonal minors b_{n-1} and b_{n+1} over level (2,3),
+    the level just after the first pivot (2,2): there only entry (1,1) has
+    two terms, every other entry is its torus generator.  At n = 2 this
+    level is the top."""
     ctx = table.ctx
     n = ctx.n
     z = table.entries[(2, 3)]
@@ -200,19 +203,16 @@ def verify_step_factorizations(table: StepGeneratorTable) -> list[dict]:
         }
     )
 
-    upper = TorusElement.one(ctx)
-    for k in range(1, n):
-        upper = upper * z[(k, k + 1)]
+    upper = lower = TorusElement.one(ctx)
+    for sup, sub in zip(sweep_cells(n, n - 1), sweep_cells(n, n + 1)):
+        upper = upper * z[sup]
+        lower = lower * z[sub]
     report.append(
         {
             "identity": "superdiagonal minor factorisation at step (2,3)",
             "ok": (embed(table, b_minor(ctx, n - 1)) - upper).is_zero(),
         }
     )
-
-    lower = TorusElement.one(ctx)
-    for k in range(2, n + 1):
-        lower = lower * z[(k, k - 1)]
     report.append(
         {
             "identity": "subdiagonal minor factorisation at step (2,3)",

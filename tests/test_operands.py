@@ -12,14 +12,16 @@ from qmat.derivations import (
     DerivationSpec,
     ad,
     basis_derivation,
+    central_scaling_spec,
     decompose_torus_derivation,
     express_hh1,
     gl_express,
     leibniz_extend,
     lift_to_torus,
 )
-from qmat.errors import DimensionMismatchError
-from qmat.matrixalg import MatrixAlgebraElement
+from qmat.errors import DimensionMismatchError, IndexOutOfRangeError
+from qmat.matrixalg import MatrixAlgebraElement, sigma_automorphism
+from qmat.rational import RF_ONE
 from qmat.serialize import derivation_to_json, element_to_json
 from qmat.torus import TorusElement
 from qmat.tower import (
@@ -73,6 +75,51 @@ def test_elements_of_different_algebras_are_never_equal():
     assert MatrixAlgebraElement.one(C2) != TorusElement.one(C2)
     assert Y(C2, 1, 1) != T(C2, 1, 1)
     assert Y(C2, 1, 1) == Y(C2, 1, 1)
+
+
+@pytest.mark.parametrize("cls", [MatrixAlgebraElement, TorusElement])
+@pytest.mark.parametrize("exp", [(), (1, 0, 0, 0), (1,) + (0,) * 15], ids=len)
+def test_exponent_vector_of_another_length_raises(cls, exp):
+    with pytest.raises(DimensionMismatchError, match=f"length {len(exp)}, not 9"):
+        cls.monomial(C3, exp)
+
+
+def test_sigma_automorphism_refuses_a_torus_element():
+    with pytest.raises(
+        DimensionMismatchError, match="expects a MatrixAlgebraElement, got TorusElement"
+    ):
+        sigma_automorphism(T(C2, 1, 1).invert_monomial())
+
+
+def test_spec_refuses_a_generator_outside_the_grid():
+    with pytest.raises(IndexOutOfRangeError):
+        DerivationSpec(C2, "Mq", {(3, 3): Y(C2, 1, 1)})
+    with pytest.raises(IndexOutOfRangeError):
+        DerivationSpec(C2, "Mq", {(0, 1): Y(C2, 1, 1)})
+
+
+@pytest.mark.parametrize(
+    "alg, image",
+    [
+        ("Mq", Y(C3, 1, 1)),
+        ("Mq", T(C2, 1, 1)),
+        ("torus", Y(C2, 1, 1)),
+        ("torus", T(C3, 1, 1)),
+        ("Mq", RF_ONE),
+    ],
+    ids=["Mq of n3", "torus in Mq", "Mq in torus", "torus of n3", "scalar"],
+)
+def test_spec_refuses_an_image_of_another_n_or_algebra(alg, image):
+    with pytest.raises(DimensionMismatchError, match=r"image of \(1, 1\)"):
+        DerivationSpec(C2, alg, {(1, 1): image})
+
+
+def test_central_scaling_spec_builds_only_the_given_weights():
+    weight = TorusElement.scalar(C2, RF_ONE)
+    d = central_scaling_spec(C2, {(2, 2): weight})
+    assert d == DerivationSpec(C2, "torus", {(2, 2): T(C2, 2, 2)})
+    with pytest.raises(IndexOutOfRangeError):
+        central_scaling_spec(C2, {(3, 3): weight})
 
 
 def test_spec_algebra_mismatch_raises():

@@ -192,6 +192,13 @@ class TestDerivations:
         with pytest.raises(DimensionMismatchError):
             derivation_from_json(data)
 
+    def test_generator_outside_the_grid_is_a_parse_error(self):
+        ctx = build_context(2)
+        data = derivation_to_json(basis_derivation(ctx, 1))
+        data["images"][0]["gen"] = [3, 3]
+        with pytest.raises(ParseError, match="outside the grid"):
+            derivation_from_json(data)
+
     def test_bad_alg(self):
         with pytest.raises(ParseError):
             derivation_from_json({"alg": "nope", "images": []})
