@@ -36,7 +36,6 @@ from .matrixalg import (
 )
 from .rational import RF_ONE, RF_ZERO, RationalFunction
 from .torus import (
-    SubalgebraPattern,
     TorusElement,
     delta_exponents,
     is_central_monomial,
@@ -82,7 +81,6 @@ __all__ = [
     "RationalFunction",
     "RF_ONE",
     "RF_ZERO",
-    "SubalgebraPattern",
     "TorusElement",
     "delta_exponents",
     "is_central_monomial",

@@ -17,6 +17,7 @@ here:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 from .context import AlgebraContext, GeneratorIndex, sweep_cells
 from .errors import (
@@ -207,15 +208,24 @@ def ad(x) -> DerivationSpec:
     return DerivationSpec(ctx, cls.ALG, images)
 
 
+@lru_cache(maxsize=None)
+def _readers(n: int) -> tuple[GeneratorIndex, ...]:
+    """The reader of D_j, j = 1..2n-1, is the first cell of b_j: (1,n), ...,
+    (1,1), (2,1), ..., (n,1).  D_j is 1 at its reader, 0 at the others."""
+    return tuple(sweep_cells(n, j)[0] for j in range(1, 2 * n))
+
+
+def _signed_readers(i: int, a: int) -> tuple[tuple[int, GeneratorIndex], ...]:
+    """The rule w(i,a) = w(i,1) + w(1,a) - w(1,1) that extends a diagonal
+    weight w from the readers to every cell; w is a derivation exactly when
+    the rule holds.  On a reader it reads w back."""
+    return ((1, (i, 1)), (1, (1, a)), (-1, (1, 1)))
+
+
 def _basis_sign(n: int, j: int, i: int, a: int) -> int:
     """The sign e in D_j(Y(i,a)) = e * Y(i,a), with e in {-1, 0, 1}."""
-    if j < n:
-        return 1 if a == n + 1 - j else 0
-    if j == n:
-        if (i, a) == (1, 1):
-            return 1
-        return -1 if i >= 2 and a >= 2 else 0
-    return 1 if i == j - n + 1 else 0
+    reader = _readers(n)[j - 1]
+    return sum(s for s, cell in _signed_readers(i, a) if cell == reader)
 
 
 def basis_derivation(ctx: AlgebraContext, j: int) -> DerivationSpec:
@@ -249,19 +259,20 @@ def central_scaling_spec(
 def check_z_condition(
     ctx: AlgebraContext, z: dict[GeneratorIndex, TorusElement]
 ) -> bool:
-    """True iff z(i,a) + z(k,d) = z(i,d) + z(k,a) for all i<k, a<d."""
-    n = ctx.n
+    """True iff z(i,a) - z(i,1) - z(1,a) + z(1,1) = 0 on every cell; a
+    missing weight is zero.  These are the 2x2 interchange conditions
+    z(i,a) + z(k,d) = z(i,d) + z(k,a) through (1,1), and they imply the
+    others."""
+    for gen in z:
+        if gen not in ctx.generators:
+            raise IndexOutOfRangeError(f"generator {gen} outside the grid")
     zero = TorusElement(ctx)
-    get = lambda gen: z.get(gen, zero)
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            for a in range(1, n + 1):
-                for dcol in range(a + 1, n + 1):
-                    if (
-                        get((i, a)) + get((k, dcol))
-                        - get((i, dcol)) - get((k, a))
-                    ):
-                        return False
+    for gen in ctx.generators:
+        rest = z.get(gen, zero)
+        for s, cell in _signed_readers(*gen):
+            rest = rest - z.get(cell, zero).scale(RationalFunction.from_int(s))
+        if rest:
+            return False
     return True
 
 
@@ -438,9 +449,7 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     """Write a quantum-matrix derivation as ad_x + sum_j mu_j D_j.
 
     Lift to the torus and split off the inner part there, unchecked; read
-    mu_j off the central weight of the j-th reader generator, the first
-    cell of b_j ((1,n), ..., (1,1), (2,1), ..., (n,1)): D_j scales it, no
-    other D_k does.
+    mu_j off the central weight at the reader of D_j, which no other D_k scales.
 
     The one certificate is the zero residual d - ad_x - sum_j mu_j(det_q)
     D_j on every generator.  It proves the coordinates, and it proves that
@@ -455,10 +464,9 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     if d.alg != "Mq":
         raise DimensionMismatchError("express_hh1 expects a quantum-matrix spec")
     require_operand("express_hh1", d, DerivationSpec, n)
-    readers = [sweep_cells(n, j)[0] for j in range(1, 2 * n)]
     with rejecting_non_derivations(d):
         dec = _split(_lift(table, d))
-        mu = [_det_poly_of_central(dec.z[g]) for g in readers]
+        mu = [_det_poly_of_central(dec.z[g]) for g in _readers(n)]
         inner = _solve_inner_part(table, dec.x)
 
         residual = d - ad(inner) - _weighted_basis_sum(ctx, mu)
@@ -474,10 +482,13 @@ def _weighted_basis_sum(
 ) -> DerivationSpec:
     """sum_j mu_j(det_q) * D_j, one product per generator.
 
-    D_j(g) = e_j(g) * g with e_j(g) in {-1, 0, 1}, so the image of g is
-    (sum_j e_j(g) mu_j)(det_q) * g; the powers of det_q are built once.
+    mu_j is the weight of D_j at its reader, so the image of Y(i,a) is
+    (mu at (i,1) + mu at (1,a) - mu at (1,1))(det_q) * Y(i,a); the powers
+    of det_q are built once.
     """
     n = ctx.n
+    if len(mu) != 2 * n - 1:
+        raise IndexOutOfRangeError(f"{len(mu)} weights, not {2 * n - 1}")
     if any(k < 0 for m in mu for k in m):
         raise NotPolynomialError("negative determinant power in the algebra")
     powers = [MatrixAlgebraElement.one(ctx)]
@@ -486,14 +497,13 @@ def _weighted_basis_sum(
         det = qdet(ctx)
         for _ in range(top):
             powers.append(powers[-1] * det)
+    at = dict(zip(_readers(n), mu))
     images = {}
     for gen in ctx.generators:
         weight: DetPolynomial = {}
-        for j, m in enumerate(mu, 1):
-            sign = _basis_sign(n, j, *gen)
-            if sign:
-                for k, c in m.items():
-                    add_into(weight, k, c if sign > 0 else -c)
+        for s, cell in _signed_readers(*gen):
+            for k, c in at[cell].items():
+                add_into(weight, k, c if s > 0 else -c)
         if weight:
             factor = MatrixAlgebraElement(ctx)
             for k, c in weight.items():

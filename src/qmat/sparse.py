@@ -50,6 +50,12 @@ def require_operand(where: str, x, cls, n: int | None = None) -> None:
         )
 
 
+def require_length(what: str, seq, nn: int) -> None:
+    """Raise DimensionMismatchError unless seq has nn entries."""
+    if len(seq) != nn:
+        raise DimensionMismatchError(f"{what} {seq} has length {len(seq)}, not {nn}")
+
+
 class SparseElement:
     """Finite sum of normal-ordered monomials with Q(q) coefficients.
 
@@ -67,10 +73,7 @@ class SparseElement:
         if terms:
             nn = ctx.n * ctx.n
             for exp, coeff in terms.items():
-                if len(exp) != nn:
-                    raise DimensionMismatchError(
-                        f"exponent vector {exp} has length {len(exp)}, not {nn}"
-                    )
+                require_length("exponent vector", exp, nn)
                 if coeff:
                     self.terms[exp] = coeff
 

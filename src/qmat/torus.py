@@ -1,4 +1,4 @@
-"""Arithmetic in the quantum torus and its distinguished subalgebras.
+"""Arithmetic in the quantum torus and its central monomials.
 
 Elements are finite sums of terms (coefficient, exponent vector); the
 exponent vector lives in Z^{n^2} and is stored as a dense tuple in flat
@@ -161,27 +161,3 @@ def delta_lattice_coordinates(
         )
     n = ctx.n
     return tuple(g[ctx.flat(*sweep_cells(n, i)[0])] for i in range(1, n + 1))
-
-
-# ---------------------------------------------------------------------------
-# sign-pattern subalgebras
-
-
-class SubalgebraPattern:
-    """Per-generator sign constraint: True entries may carry negative
-    exponents, False entries are restricted to natural numbers."""
-
-    __slots__ = ("allow_negative",)
-
-    def __init__(self, allow_negative):
-        self.allow_negative = tuple(allow_negative)
-
-    @staticmethod
-    def u22(ctx: AlgebraContext) -> "SubalgebraPattern":
-        """First row and first column natural, everything else invertible."""
-        return SubalgebraPattern(i > 1 and a > 1 for (i, a) in ctx.generators)
-
-    def admits(self, exp: ExponentVector) -> bool:
-        return all(
-            e >= 0 or ok for e, ok in zip(exp, self.allow_negative)
-        )

@@ -19,11 +19,16 @@ from __future__ import annotations
 from operator import mul
 
 from .context import AlgebraContext, GeneratorIndex, StepIndex, sweep_cells
-from .errors import NotAMonomialError, NotInSpanError, PivotNotMonomialError
+from .errors import (
+    IndexOutOfRangeError,
+    NotAMonomialError,
+    NotInSpanError,
+    PivotNotMonomialError,
+)
 from .limits import check_terms
 from .matrixalg import MatrixAlgebraElement, b_minor, qdet, relation_report
 from .rational import RationalFunction
-from .sparse import ExponentVector, add_into, require_operand
+from .sparse import ExponentVector, add_into, require_length, require_operand
 from .torus import TorusElement
 
 
@@ -38,6 +43,12 @@ class StepGeneratorTable:
 
     def top_entries(self) -> dict[GeneratorIndex, TorusElement]:
         return self.entries[self.ctx.top_step()]
+
+    def step_entries(self, step: StepIndex) -> dict[GeneratorIndex, TorusElement]:
+        entries = self.entries.get(step)
+        if entries is None:
+            raise IndexOutOfRangeError(f"step {step} is not in the tower")
+        return entries
 
 
 def build_table(ctx: AlgebraContext) -> StepGeneratorTable:
@@ -77,24 +88,22 @@ def embed_monomial_at_step(
     monomial (i.e. where the entry is invertible in the localisation).
     """
     ctx = table.ctx
-    entries = table.entries[step]
+    entries = table.step_entries(step)
+    require_length("exponent vector", exp, ctx.n * ctx.n)
     out = TorusElement.one(ctx)
     for k, e in enumerate(exp):
         if not e:
             continue
         gen = ctx.gen_at(k)
         entry = entries[gen]
-        if e > 0:
-            for _ in range(e):
-                out = out * entry
-        else:
+        if e < 0:
             if not entry.is_monomial():
                 raise NotAMonomialError(
                     f"entry {gen} at step {step} is not invertible"
                 )
-            inv = entry.invert_monomial()
-            for _ in range(-e):
-                out = out * inv
+            entry, e = entry.invert_monomial(), -e
+        for _ in range(e):
+            out = out * entry
     return out
 
 
@@ -322,12 +331,12 @@ def rebase_to_step(
     """
     ctx = table.ctx
     require_operand("rebase_to_step", x, TorusElement, ctx.n)
-    entries = table.entries[step]
-    monomial_ok = [
-        entries[ctx.gen_at(k)].is_monomial() for k in range(ctx.n * ctx.n)
-    ]
+    entries = table.step_entries(step)
+    nn = ctx.n * ctx.n
+    monomial_ok = [entries[ctx.gen_at(k)].is_monomial() for k in range(nn)]
     if box is None:
         box = default_box(ctx, x, monomial_ok)
+    require_length("box", box, nn)
     for k, (l, _h) in enumerate(box):
         if l < 0 and not monomial_ok[k]:
             raise NotAMonomialError(

@@ -27,6 +27,7 @@ from qmat.torus import TorusElement
 from qmat.tower import (
     build_table,
     embed,
+    embed_monomial_at_step,
     rebase_to_matrix_algebra,
     rebase_to_step,
 )
@@ -77,11 +78,21 @@ def test_elements_of_different_algebras_are_never_equal():
     assert Y(C2, 1, 1) == Y(C2, 1, 1)
 
 
-@pytest.mark.parametrize("cls", [MatrixAlgebraElement, TorusElement])
-@pytest.mark.parametrize("exp", [(), (1, 0, 0, 0), (1,) + (0,) * 15], ids=len)
-def test_exponent_vector_of_another_length_raises(cls, exp):
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda exp: MatrixAlgebraElement.monomial(C3, exp),
+        lambda exp: TorusElement.monomial(C3, exp),
+        lambda exp: embed_monomial_at_step(T3, C3.top_step(), exp),
+    ],
+    ids=["MatrixAlgebraElement", "TorusElement", "embed_monomial_at_step"],
+)
+@pytest.mark.parametrize(
+    "exp", [(), (1, 0, 0, 0), (1,) + (0,) * 11, (1,) + (0,) * 15], ids=len
+)
+def test_exponent_vector_of_another_length_raises(build, exp):
     with pytest.raises(DimensionMismatchError, match=f"length {len(exp)}, not 9"):
-        cls.monomial(C3, exp)
+        build(exp)
 
 
 def test_sigma_automorphism_refuses_a_torus_element():
@@ -207,6 +218,26 @@ def test_coordinates_refuse_a_spec_of_another_n(coordinates, spec):
 def test_rebase_refuses_an_element_of_another_n(rebase, table, x):
     with pytest.raises(DimensionMismatchError):
         rebase(table, x)
+
+
+@pytest.mark.parametrize("length", [4, 12])
+def test_rebase_refuses_a_box_of_another_length(length):
+    with pytest.raises(DimensionMismatchError, match=f"box .* has length {length}, not 9"):
+        rebase_to_step(T3, C3.top_step(), T(C3, 3, 3), box=[(0, 0)] * length)
+
+
+@pytest.mark.parametrize("step", [(1, 1), (9, 9), (3, 5)], ids=str)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda step: embed_monomial_at_step(T3, step, (0,) * 9),
+        lambda step: rebase_to_step(T3, step, T(C3, 3, 3)),
+    ],
+    ids=["embed_monomial_at_step", "rebase_to_step"],
+)
+def test_a_step_outside_the_tower_raises(call, step):
+    with pytest.raises(IndexOutOfRangeError, match=rf"step \({step[0]}, {step[1]}\)"):
+        call(step)
 
 
 def _run(capsys, *argv):

@@ -12,7 +12,6 @@ from qmat.errors import (
 from qmat.limits import get_max_terms, restored_max_terms, set_max_terms
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.torus import (
-    SubalgebraPattern,
     TorusElement,
     commutation_exponent,
     delta_exponents,
@@ -280,15 +279,6 @@ class TestDeltaLattice:
         ctx = build_context(2)
         with pytest.raises(NotInLatticeError):
             delta_lattice_coordinates(ctx, (1, 0, 0, 0))
-
-
-class TestPatterns:
-    def test_u22_pattern(self):
-        ctx = build_context(2)
-        pattern = SubalgebraPattern.u22(ctx)
-        assert pattern.admits((0, 0, 0, -1))
-        assert not pattern.admits((-1, 0, 0, 0))
-        assert not pattern.admits((0, -1, 0, 0))
 
 
 class TestZsetConditions:
