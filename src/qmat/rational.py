@@ -10,8 +10,12 @@ num = q^max(v, 0) * p, den = q^max(-v, 0) * r.
 Laurent polynomials (r = (1,)) are closed under +, - and * with no gcd
 and no zero padding, and multiplying by q^e adds e to v; a quotient of
 two of them that is exact in Z[q] is found by exact division.  Otherwise
-a gcd runs when a denominator is not 1: the integer content when p or r
-is a constant, the primitive-PRS gcd in Z[q] otherwise.
+one rule, ``_cancel``, removes a common factor: nothing when the
+denominator is 1, the integer content when either side is a constant,
+the primitive-PRS gcd in Z[q] otherwise.  A product of reduced factors
+(a/r)(b/s) cancels only gcd(a, s) and gcd(b, r) before it multiplies
+(Henrici), so a one-term Laurent factor meets only an integer gcd, and
+no gcd of the full product ever runs.
 """
 
 from __future__ import annotations
@@ -119,9 +123,10 @@ def _pgcd(a, b):
 _P_ONE = (1,)
 
 
-def _reduce(p, r):
-    """p / r in lowest terms with r's leading coefficient positive, for
-    trimmed nonzero p and r with nonzero constant terms."""
+def _cancel(p, r):
+    """p / g and r / g for g = gcd(p, r) in Z[q] with g's leading
+    coefficient positive, for trimmed nonzero p and r with nonzero constant
+    terms; r's leading sign is kept."""
     if r == _P_ONE:
         return p, r
     if len(p) == 1 or len(r) == 1:
@@ -135,6 +140,13 @@ def _reduce(p, r):
         if g != _P_ONE:
             p = _pdiv_exact(p, g)
             r = _pdiv_exact(r, g)
+    return p, r
+
+
+def _reduce(p, r):
+    """p / r in lowest terms with r's leading coefficient positive, for
+    trimmed nonzero p and r with nonzero constant terms."""
+    p, r = _cancel(p, r)
     if r[-1] < 0:
         p, r = _pneg(p), _pneg(r)
     return p, r
@@ -235,16 +247,24 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction", e: int = 0) -> "RationalFunction":
         """self * other, times q^e when e is given: the torus product passes
-        its commutation exponent, so a term pair builds one coefficient."""
+        its commutation exponent, so a term pair builds one coefficient.
+
+        For (q^v a/r)(q^w b/s) with both factors reduced, only gcd(a, s) and
+        gcd(b, r) can be nontrivial (Henrici).  Cancelling them first leaves
+        coprime parts whose products are already canonical: r and s keep
+        their positive leading coefficients and no sign fix is needed."""
         a, b = self.p, other.p
         if not a or not b:
             return RF_ZERO
         v = self.v + other.v + e
         r, s = self.r, other.r
-        if len(a) == 1 and len(b) == 1 and r == _P_ONE and s == _P_ONE:
-            return _rf(v, (a[0] * b[0],), _P_ONE)
-        p, r = _reduce(_pmul(a, b), _pmul(r, s))
-        return _rf(v, p, r)
+        if r == _P_ONE and s == _P_ONE:
+            if len(a) == 1 and len(b) == 1:
+                return _rf(v, (a[0] * b[0],), _P_ONE)
+            return _rf(v, _pmul(a, b), _P_ONE)
+        a, s = _cancel(a, s)
+        b, r = _cancel(b, r)
+        return _rf(v, _pmul(a, b), _pmul(r, s))
 
     def times_q_power(self, e: int) -> "RationalFunction":
         """This element times q^e."""

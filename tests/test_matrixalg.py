@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmat.context import build_context
 from qmat.errors import IndexOutOfRangeError, ResourceLimitError
@@ -19,6 +21,27 @@ from qmat.rational import RF_ONE, RationalFunction
 
 def Y(ctx, i, a):
     return MatrixAlgebraElement.generator(ctx, (i, a))
+
+
+def _general_coefficients():
+    """Elements of Q(q) whose reduced denominator is not c*q^k."""
+    ints = st.integers(min_value=-3, max_value=3)
+    num = st.lists(ints, min_size=1, max_size=3).filter(any).map(tuple)
+    den = st.lists(ints, min_size=2, max_size=3).filter(lambda d: d[0] and d[-1])
+    return st.builds(RationalFunction, num, den.map(tuple)).filter(
+        lambda c: len(c.r) > 1
+    )
+
+
+def _general_elements(ctx):
+    """Elements with 2 or 3 terms of degree at most 2 and general
+    coefficients."""
+    nn = ctx.n * ctx.n
+    exps = st.lists(st.integers(min_value=0, max_value=nn - 1), max_size=2).map(
+        lambda word: tuple(word.count(k) for k in range(nn))
+    )
+    terms = st.dictionaries(exps, _general_coefficients(), min_size=2, max_size=3)
+    return terms.map(lambda t: MatrixAlgebraElement(ctx, t))
 
 
 class TestRelations:
@@ -57,6 +80,15 @@ class TestRelations:
         for _ in range(20):
             a, b, c = (rng.choice(gens) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_associativity_general_coefficients(self, data):
+        # products of 2-3 term elements whose coefficients have non-Laurent
+        # denominators, so straightening multiplies general quotients
+        ctx = build_context(3)
+        x, y, z = (data.draw(_general_elements(ctx)) for _ in range(3))
+        assert (x * y) * z == x * (y * z)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_relation_report_on_generators(self, n):

@@ -4,7 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmat.rational as rational
@@ -258,6 +258,57 @@ def assert_same(new, old):
     assert new.to_json() == old.to_json()
 
 
+def replaced_product(x, y, e=0):
+    """x * y * q^e by the formula the cross-cancelling product replaced:
+    one gcd of the full products a*b and r*s."""
+    a, b = x.p, y.p
+    if not a or not b:
+        return RF_ZERO
+    p, r = rational._reduce(rational._pmul(a, b), rational._pmul(x.r, y.r))
+    return rational._rf(x.v + y.v + e, p, r)
+
+
+def factors():
+    """Polynomials of degree at least 1 with a nonzero constant term."""
+    return polys(min_len=2).filter(lambda f: f[0] and f[-1])
+
+
+@st.composite
+def cross_sharing_pairs(draw):
+    """(x, y) = (q^i a/r, q^j b/s), reduced, where a shares a factor of
+    degree >= 1 with s, b shares one with r, or both, and either numerator
+    may have a negative leading coefficient."""
+    case = draw(st.sampled_from(("a~s", "b~r", "both")))
+    one = (1,)
+    f = draw(factors()) if case != "b~r" else one
+    g = draw(factors()) if case != "a~s" else one
+    a, r, b, s = (draw(polys(min_len=1).filter(any)) for _ in range(4))
+    i, j, k, m = (draw(shifts) for _ in range(4))
+    pmul = rational_oracle._pmul
+    x = RationalFunction((0,) * i + pmul(f, a), (0,) * k + pmul(g, r))
+    y = RationalFunction((0,) * j + pmul(g, b), (0,) * m + pmul(f, s))
+    if draw(st.booleans()):
+        x = -x
+    if draw(st.booleans()):
+        y = -y
+    # the shared factor survives the reduction of x and y
+    gcd = rational_oracle._pgcd
+    if case != "b~r":
+        assume(len(gcd(x.p, y.r)) > 1)
+    if case != "a~s":
+        assume(len(gcd(y.p, x.r)) > 1)
+    return x, y
+
+
+def assert_product(x, y, e=0):
+    """x.__mul__(y, e) against the num/den oracle and the replaced formula."""
+    got = x.__mul__(y, e)
+    old = (Old(x.num, x.den) * Old(y.num, y.den)).times_q_power(e)
+    assert_same(got, old)
+    want = replaced_product(x, y, e)
+    assert (got.v, got.p, got.r) == (want.v, want.p, want.r)
+
+
 class TestAgainstNumDenOracle:
     @settings(max_examples=300, deadline=None)
     @given(raw_pairs(), raw_pairs(), st.integers(min_value=-6, max_value=6))
@@ -345,26 +396,111 @@ class TestAgainstNumDenOracle:
             assert route == a and hash(route) == hash(a)
             assert (route.v, route.p, route.r) == (a.v, a.p, a.r)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cross_sharing_pairs(), st.integers(min_value=-6, max_value=6))
+    def test_product_cancels_across(self, pair, e):
+        x, y = pair
+        assert_product(x, y, e)
+        assert_product(y, x, e)
+        assert_product(x, y.inv())
+        assert_same(x / y, Old(x.num, x.den) / Old(y.num, y.den))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=2, max_value=9),
+        polys(min_len=1).filter(any),
+        polys(min_len=1).filter(any),
+        polys(min_len=1).filter(any),
+        polys(min_len=1).filter(any),
+    )
+    def test_product_cancels_integer_content(self, k, m, a, r, b, s):
+        # k divides a's and s's content, m divides b's and r's
+        x = RationalFunction(tuple(k * c for c in a), tuple(m * c for c in r))
+        y = RationalFunction(tuple(m * c for c in b), tuple(k * c for c in s))
+        assert_product(x, y)
+        assert_product(y, x)
+
+    def test_product_of_integer_fractions(self):
+        x = RationalFunction.from_fraction(2, 3) * RationalFunction.from_fraction(9, 4)
+        assert x == RationalFunction.from_fraction(3, 2)
+        assert_product(RationalFunction((2,), (3,)), RationalFunction((9,), (4,)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shifted_rationals(),
+        shifted_rationals(),
+        st.integers(min_value=-6, max_value=6).filter(bool),
+    )
+    def test_product_with_valuations(self, x, y, e):
+        assert_product(x, y)
+        assert_product(x, y, e)
+        if y:
+            assert_product(x, y.inv(), e)
+            assert_same(x / y, Old(x.num, x.den) / Old(y.num, y.den))
+
+
+@pytest.fixture
+def pgcd_calls(monkeypatch):
+    """Calls of the polynomial gcd and of the integer-content gcd."""
+    calls = []
+    for name in ("_pgcd", "_int_gcd"):
+        original = getattr(rational, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(rational, name, counted)
+    return calls
+
+
+class TestProductGcdCounts:
+    """The product cancels gcd(a, s) and gcd(b, r) of its reduced factors
+    (a/r)(b/s) and nothing else: a one-term Laurent factor meets only an
+    integer gcd, and two Laurent factors meet none."""
+
+    GENERAL = RationalFunction((3, -1, 2), (1, 0, 2))  # (3 - q + 2q^2)/(1 + 2q^2)
+    SHARING = RationalFunction((1, 0, 2), (0, 5, 1, 2))  # (1 + 2q^2)/(q(5 + q + 2q^2))
+
+    @pytest.mark.parametrize(
+        "laurent",
+        [
+            RationalFunction((6,)),
+            RationalFunction((0, 0, -4)),
+            RationalFunction.q_power(-3),
+            RationalFunction((1,), (0, 2)),
+        ],
+    )
+    def test_one_term_laurent_factor_takes_no_pgcd(self, pgcd_calls, laurent):
+        for x, y in ((self.GENERAL, laurent), (laurent, self.GENERAL)):
+            del pgcd_calls[:]
+            got = x * y
+            assert [name for name, _ in pgcd_calls if name == "_pgcd"] == []
+            assert got == replaced_product(x, y)
+
+    def test_laurent_factors_take_no_gcd(self, pgcd_calls):
+        x = RationalFunction((2, -1, 3))
+        y = RationalFunction((0, 4, 0, -1), (0, 0, 1))
+        del pgcd_calls[:]
+        products = [x * y, y * x, x.__mul__(y, 2), x * RationalFunction((0, 7))]
+        assert pgcd_calls == []
+        assert products[0] == RationalFunction((0, 8, -4, 10, 1, -3), (0, 0, 1))
+
+    def test_general_product_runs_only_the_cross_gcds(self, pgcd_calls):
+        x, y = self.GENERAL, self.SHARING
+        del pgcd_calls[:]
+        got = x * y
+        pgcds = [args for name, args in pgcd_calls if name == "_pgcd"]
+        assert pgcds == [(x.p, y.r), (y.p, x.r)]
+        assert got == RationalFunction((3, -1, 2), (0, 5, 1, 2))
+
 
 class TestNoGcdOnLaurentPath:
     """Laurent coefficients (r = (1,)) are closed under +, - and * and never
     reach a gcd, neither ``_pgcd`` nor the integer content.  An inner part
     takes none either: the decomposition divides its coefficients by
     1 - q^e, and for x in the algebra that quotient is exact and Laurent."""
-
-    @pytest.fixture
-    def pgcd_calls(self, monkeypatch):
-        """Calls of the polynomial gcd and of the integer-content gcd."""
-        calls = []
-        for name in ("_pgcd", "_int_gcd"):
-            original = getattr(rational, name)
-
-            def counted(*args, name=name, original=original):
-                calls.append((name, args))
-                return original(*args)
-
-            monkeypatch.setattr(rational, name, counted)
-        return calls
 
     def test_express_hh1_n3(self, pgcd_calls):
         Q = RationalFunction.q_power
