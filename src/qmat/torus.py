@@ -36,14 +36,15 @@ def commutation_exponent(
 ) -> int:
     """Integer e with T^g * T^d = q^e T^{g+d} in normal order."""
     B = ctx.B
+    nonzero = [(a, da) for a, da in enumerate(d) if da]
     e = 0
     for b, gb in enumerate(g):
         if gb:
             row = B[b]
-            for a in range(b):
-                da = d[a]
-                if da:
-                    e += gb * da * row[a]
+            for a, da in nonzero:
+                if a >= b:
+                    break
+                e += gb * da * row[a]
     return e
 
 

@@ -12,11 +12,24 @@ needed are monomial inverses.  Row j, column b and the pivot are fixed by
 step (j, b), so P^{-1} * cur[(j, a)] is formed once per column a (and, in
 the lift, cur[(i, b)] * P^{-1} once per row i).  The top step realises the
 embedding of the quantum-matrix algebra into the torus.
+
+Each term of a top entry (i, a) is one path in the Cauchon graph (Cauchon,
+J. Algebra 260, 2003): with outer corners (i, c_0), (r_1, c_1), ...,
+(r_m, a) and inner corners (r_1, c_0), ..., (r_m, c_{m-1}), where
+i < r_1 < ... < r_m and c_0 > ... > c_m = a, the term is
+q^m * prod T(outer) / prod T(inner), and the path runs west along row i
+from column n to c_0, down to r_1, west to c_1, ..., and down column a to
+row n.  By Casteels (Quantum matrices by paths, Algebra & Number Theory 8,
+2014) the image of the quantum minor on rows i_1 < ... < i_t and columns
+a_1 < ... < a_t is the sum, over the systems of vertex-disjoint paths
+i_k -> a_k, of the product of the paths in row order.  ``embed`` takes
+this sum for every input that is a scalar times a minor of size >= 2.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from math import factorial
+from operator import add, mul
 
 from .context import AlgebraContext, GeneratorIndex, StepIndex, sweep_cells
 from .errors import (
@@ -26,10 +39,16 @@ from .errors import (
     PivotNotMonomialError,
 )
 from .limits import check_terms
-from .matrixalg import MatrixAlgebraElement, b_minor, qdet, relation_report
-from .rational import RationalFunction
-from .sparse import ExponentVector, add_into, require_length, require_operand
-from .torus import TorusElement
+from .matrixalg import MatrixAlgebraElement, b_minor, qdet, qminor, relation_report
+from .rational import RF_ONE, RationalFunction
+from .sparse import (
+    ExponentVector,
+    add_into,
+    require_length,
+    require_operand,
+    zero_exponents,
+)
+from .torus import TorusElement, commutation_exponent
 
 
 class StepGeneratorTable:
@@ -111,6 +130,104 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     """Algebra embedding of the quantum-matrix algebra into the torus,
     determined by the top-step table entries.
 
+    An input c * qminor(rows, cols) with at least two rows is recognised by
+    its terms alone: t! exponent vectors of 0s and 1s summing to t, equal
+    term by term to c times the minor on the rows and columns of the first
+    term.  Its image is c times the sum over vertex-disjoint path systems
+    read off the top entries (Casteels' theorem, see the module docstring;
+    ``_path_systems``), which never forms the cancelling products.  Every
+    other input takes the product path ``_embed_product``.
+    """
+    ctx = table.ctx
+    require_operand("embed", x, MatrixAlgebraElement, ctx.n)
+    minor = _as_minor(ctx, x)
+    if minor is None:
+        return _embed_product(table, x)
+    rows, cols, coeff = minor
+    return _path_systems(table, rows, cols).scale(coeff)
+
+
+def _as_minor(ctx: AlgebraContext, x: MatrixAlgebraElement):
+    """(rows, cols, c) with x = c * qminor(ctx, rows, cols) and at least
+    two rows, else None; the cheapest tests run first."""
+    terms = x.terms
+    if not terms:
+        return None
+    first = next(iter(terms))
+    t = sum(first)
+    if t < 2 or len(terms) != factorial(t):
+        return None
+    cells = [ctx.gen_at(k) for k, e in enumerate(first) if e]
+    rows = sorted({i for i, _ in cells})
+    cols = sorted({a for _, a in cells})
+    if not len(cells) == len(rows) == len(cols) == t:
+        return None
+    minor = qminor(ctx, rows, cols).terms
+    if minor.keys() != terms.keys():
+        return None
+    coeff = terms[first] / minor[first]
+    if any(terms[h] != coeff * m for h, m in minor.items()):
+        return None
+    return rows, cols, coeff
+
+
+def _path_cells(n: int, exp: ExponentVector) -> int:
+    """Bitmask over flat positions of the cells of the path whose term has
+    exponents exp: its outer corners are the +1 entries, in row order."""
+    corners = [divmod(k, n) for k, e in enumerate(exp) if e > 0]
+    r, c = corners[0][0], n - 1
+    mask = 0
+    for r2, c2 in corners:
+        for row in range(r, r2 + 1):
+            mask |= 1 << (row * n + c)
+        for col in range(c2, c + 1):
+            mask |= 1 << (r2 * n + col)
+        r, c = r2, c2
+    for row in range(r, n):
+        mask |= 1 << (row * n + c)
+    return mask
+
+
+def _path_systems(table: StepGeneratorTable, rows, cols) -> TorusElement:
+    """Sum over the systems of vertex-disjoint paths rows[k] -> cols[k] of
+    the product of their terms in row order.
+
+    A depth-first search picks one term of top entry (rows[k], cols[k]) per
+    k, from the last row up (the entry with the fewest terms first),
+    skipping any term whose cells meet the cells already chosen, and
+    multiplies each pick onto the left of the product.
+    """
+    ctx = table.ctx
+    top = table.top_entries()
+    choices = [
+        [(_path_cells(ctx.n, exp), exp, c) for exp, c in top[gen].terms.items()]
+        for gen in zip(rows, cols)
+    ]
+    out: dict[ExponentVector, RationalFunction] = {}
+
+    def search(k: int, used: int, exp: ExponentVector, coeff: RationalFunction):
+        if k < 0:
+            add_into(out, exp, coeff)
+            check_terms(len(out), "path-system sum")
+            return
+        for cells, e, c in choices[k]:
+            if not cells & used:
+                search(
+                    k - 1,
+                    used | cells,
+                    tuple(map(add, e, exp)),
+                    c.__mul__(coeff, commutation_exponent(ctx, e, exp)),
+                )
+
+    search(len(choices) - 1, 0, zero_exponents(ctx), RF_ONE)
+    result = TorusElement(ctx)
+    result.terms = out
+    return result
+
+
+def _embed_product(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
+    """``embed`` by products of the top entries.
+
     A term whose monomial has its image in the table's cache is summed from
     there.  All other terms are embedded together by Horner's rule over the
     PBW order (``_embed_horner``), so sums collapse before they are
@@ -120,7 +237,6 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     shared table reaches the same warm cache one pass later.
     """
     ctx = table.ctx
-    require_operand("embed", x, MatrixAlgebraElement, ctx.n)
     cache = table._embed_cache
     seen = table._embed_seen
     out: dict[ExponentVector, RationalFunction] = {}

@@ -1,0 +1,162 @@
+"""Quantum minors by vertex-disjoint path systems.
+
+The top table against the closed form of the path model, and ``embed``'s
+path-system sum against the product path ``_embed_product`` it bypasses.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qmat.tower as tower
+from qmat.context import build_context
+from qmat.errors import ResourceLimitError
+from qmat.limits import restored_max_terms, set_max_terms
+from qmat.matrixalg import MatrixAlgebraElement, qdet, qminor
+from qmat.rational import RF_ONE, RationalFunction
+from qmat.torus import TorusElement, delta_exponents
+from qmat.tower import _embed_product, build_table, embed
+
+
+def path_closed_form(n, i, a):
+    """Top entry (i, a) as {exponents: q^m}, one term per staircase path
+    with outer corners (i, c_0), (r_1, c_1), ..., (r_m, a) and inner
+    corners (r_1, c_0), ..., (r_m, c_{m-1}), i < r_1 < ... < r_m,
+    c_0 > ... > c_{m-1} > a."""
+    out = {}
+    for m in range(n - i + 1):
+        for rs in combinations(range(i + 1, n + 1), m):
+            for cs in combinations(range(a + 1, n + 1), m):
+                cs = cs[::-1] + (a,)
+                outer = [(i, cs[0])] + [(rs[k], cs[k + 1]) for k in range(m)]
+                inner = [(rs[k], cs[k]) for k in range(m)]
+                exp = [0] * (n * n)
+                for (r, c), sign in [(cell, 1) for cell in outer] + [
+                    (cell, -1) for cell in inner
+                ]:
+                    exp[(r - 1) * n + c - 1] += sign
+                out[tuple(exp)] = RationalFunction.q_power(m)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_top_table_is_the_path_closed_form(n):
+    top = build_table(build_context(n)).top_entries()
+    for (i, a), entry in top.items():
+        assert entry.terms == path_closed_form(n, i, a), (i, a)
+
+
+def minors(n, sizes):
+    ctx = build_context(n)
+    for t in sizes:
+        for rows in combinations(range(1, n + 1), t):
+            for cols in combinations(range(1, n + 1), t):
+                yield qminor(ctx, rows, cols)
+
+
+@pytest.fixture
+def path_calls(monkeypatch):
+    """Arguments of every ``_path_systems`` call."""
+    calls = []
+    original = tower._path_systems
+
+    def counted(table, rows, cols):
+        calls.append((tuple(rows), tuple(cols)))
+        return original(table, rows, cols)
+
+    monkeypatch.setattr(tower, "_path_systems", counted)
+    return calls
+
+
+class TestAgainstProductPath:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_minor(self, n, path_calls):
+        table = build_table(build_context(n))
+        count = 0
+        for m in minors(n, range(2, n + 1)):
+            assert embed(table, m) == _embed_product(table, m)
+            count += 1
+        assert len(path_calls) == count
+
+    def test_every_3x3_minor_at_n5(self, path_calls):
+        table = build_table(build_context(5))
+        for m in minors(5, [3]):
+            assert embed(table, m) == _embed_product(table, m)
+        assert len(path_calls) == 100
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True),
+        cols=st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True),
+        num=st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+        den=st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+    )
+    def test_general_coefficient(self, rows, cols, num, den):
+        t = min(len(rows), len(cols))
+        ctx = build_context(3)
+        table = build_table(ctx)
+        c = RationalFunction(num, den)
+        x = qminor(ctx, sorted(rows[:t]), sorted(cols[:t])).scale(c)
+        assert tower._as_minor(ctx, x) is not None
+        assert embed(table, x) == _embed_product(table, x)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_qdet_is_delta_n(self, n, path_calls):
+        ctx = build_context(n)
+        delta_n = TorusElement.monomial(ctx, delta_exponents(ctx, n))
+        assert embed(build_table(ctx), qdet(ctx)) == delta_n
+        assert path_calls == [(tuple(range(1, n + 1)),) * 2]
+
+    def test_minors_leave_the_monomial_cache_alone(self):
+        ctx = build_context(4)
+        table = build_table(ctx)
+        first = embed(table, qdet(ctx))
+        assert embed(table, qdet(ctx)) == first
+        assert not table._embed_cache and not table._embed_seen
+
+
+def _near_misses(ctx):
+    m = qminor(ctx, (1, 2, 3), (1, 2, 4))
+    first, second = list(m.terms)[:2]
+    changed = dict(m.terms)
+    changed[first] = changed[first] + RF_ONE
+    added = dict(m.terms)
+    added[tuple(e + (k == 0) for k, e in enumerate(first))] = RF_ONE
+    flipped = dict(m.terms)
+    flipped[second] = -flipped[second]
+    moved = dict(m.terms)
+    moved[(1,) + (0,) * (len(first) - 3) + (1, 1)] = moved.pop(second)
+    squared = MatrixAlgebraElement.generator(ctx, (1, 1))
+    squared = squared * squared
+    return {
+        "coefficient changed": changed,
+        "term added": added,
+        "sign flipped": flipped,
+        "term moved": moved,
+        "square": squared.terms,
+        "generator": {(1,) + (0,) * (len(first) - 1): RF_ONE},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_near_misses(build_context(4))))
+def test_near_misses_take_the_product_path(case, path_calls):
+    ctx = build_context(4)
+    x = MatrixAlgebraElement(ctx, _near_misses(ctx)[case])
+    table = build_table(ctx)
+    assert tower._as_minor(ctx, x) is None
+    assert embed(table, x) == _embed_product(table, x)
+    assert path_calls == []
+
+
+def test_path_system_sum_has_its_own_term_guard():
+    ctx = build_context(4)
+    table = build_table(ctx)
+    minor = qminor(ctx, (1, 2), (1, 2))
+    size = len(embed(table, minor).terms)
+    assert size > 3
+    with restored_max_terms():
+        set_max_terms(3)
+        with pytest.raises(ResourceLimitError, match="path-system sum"):
+            embed(table, minor)

@@ -62,6 +62,19 @@ class TestCommutation:
         )
         assert diff == pairing
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_exponent_matches_dense_double_loop(self, n, data):
+        # the sparse loop over nonzero entries against every pair a < b
+        ctx = build_context(n)
+        g = data.draw(exponent_vectors(n, 3))
+        d = data.draw(exponent_vectors(n, 3))
+        dense = sum(
+            g[b] * d[a] * ctx.B[b][a] for b in range(n * n) for a in range(b)
+        )
+        assert commutation_exponent(ctx, g, d) == dense
+
     @settings(max_examples=30, deadline=None)
     @given(exponent_vectors(2, 1), exponent_vectors(2, 1), exponent_vectors(2, 1))
     def test_monomial_associativity(self, a, b, c):

@@ -212,7 +212,10 @@ class TestHornerEmbed:
         expected = _oracle(table, x)
         for _ in range(3):
             assert embed(table, x) == expected
-        assert set(x.terms) <= set(table._embed_cache)
+        # a scalar times a quantum minor takes the path-system sum, which
+        # leaves the cache alone (tests/test_path_minors.py pins that)
+        if tower._as_minor(x.ctx, x) is None:
+            assert set(x.terms) <= set(table._embed_cache)
 
     def test_construction_rejects_negative_exponent(self):
         ctx = build_context(2)
