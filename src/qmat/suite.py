@@ -57,7 +57,7 @@ from .tower import (
     verify_step_factorizations,
 )
 
-SUITE_MAX_N = 4
+SUITE_MAX_N = 5
 SUITE_SEED = 20240
 
 

@@ -16,8 +16,8 @@ of the smaller one, x -> x + t on its exponents.  A translation is
 injective and Q(q) has no zero divisors, so the terms of one translate
 never collide or cancel and are built in one pass; the translates are
 then summed.  A one-term factor, as in ``build_table``'s pivot inverse,
-Horner's scalar starts in ``embed`` and ``embed_monomial_at_step``, makes
-the product a single translation.
+``embed``'s det_q image and ``embed_monomial_at_step``'s start, makes the
+product a single translation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .context import AlgebraContext, sweep_cells
 from .errors import IndexOutOfRangeError, NotAMonomialError, NotInLatticeError
 from .limits import check_terms
 from .rational import RationalFunction
-from .sparse import ExponentVector, SparseElement, add_into
+from .sparse import ExponentVector, SparseElement, add_into, require_length
 
 
 def commutation_exponent(
@@ -50,6 +50,7 @@ def commutation_exponent(
 
 def is_central_monomial(ctx: AlgebraContext, g: ExponentVector) -> bool:
     """T^g commutes with every generator iff B.g = 0."""
+    require_length("exponent vector", g, ctx.n * ctx.n)
     for row in ctx.B:
         if sum(r * c for r, c in zip(row, g) if c):
             return False
@@ -135,8 +136,7 @@ def zset_conditions(ctx: AlgebraContext, g: ExponentVector) -> bool:
     the cells of b_i (a superdiagonal) and -v on the cells of b_{n+i}
     (the matching subdiagonal)."""
     n = ctx.n
-    if len(g) != n * n:
-        return False
+    require_length("exponent vector", g, n * n)
     for i in range(1, n + 1):
         upper = sweep_cells(n, i)
         v = g[ctx.flat(*upper[0])]

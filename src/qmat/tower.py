@@ -24,12 +24,15 @@ row n.  By Casteels (Quantum matrices by paths, Algebra & Number Theory 8,
 a_1 < ... < a_t is the sum, over the systems of vertex-disjoint paths
 i_k -> a_k, of the product of the paths in row order.  ``embed`` takes
 this sum for every input that is a scalar times a minor of size >= 2.
+Every other input is divided by the central det_q first, whose image is
+that sum too, and the remainder is summed from the images of its
+monomials, cached in the table.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from operator import add, mul
+from operator import add, mul, sub
 
 from .context import AlgebraContext, GeneratorIndex, StepIndex, sweep_cells
 from .errors import (
@@ -58,7 +61,8 @@ class StepGeneratorTable:
         self.ctx = ctx
         self.entries: dict[StepIndex, dict[GeneratorIndex, TorusElement]] = {}
         self._embed_cache: dict[ExponentVector, TorusElement] = {}
-        self._embed_seen: set[ExponentVector] = set()
+        self._det_multiples: dict[ExponentVector, MatrixAlgebraElement] = {}
+        self._det_image: TorusElement | None = None
 
     def top_entries(self) -> dict[GeneratorIndex, TorusElement]:
         return self.entries[self.ctx.top_step()]
@@ -136,7 +140,7 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     term.  Its image is c times the sum over vertex-disjoint path systems
     read off the top entries (Casteels' theorem, see the module docstring;
     ``_path_systems``), which never forms the cancelling products.  Every
-    other input takes the product path ``_embed_product``.
+    other input takes ``_embed_product``, which divides det_q out first.
     """
     ctx = table.ctx
     require_operand("embed", x, MatrixAlgebraElement, ctx.n)
@@ -226,72 +230,66 @@ def _path_systems(table: StepGeneratorTable, rows, cols) -> TorusElement:
 
 
 def _embed_product(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
-    """``embed`` by products of the top entries.
-
-    A term whose monomial has its image in the table's cache is summed from
-    there.  All other terms are embedded together by Horner's rule over the
-    PBW order (``_embed_horner``), so sums collapse before they are
-    multiplied by the next entry.  A monomial's image is built with
-    ``embed_monomial_at_step`` and cached only the second time the table
-    embeds that monomial: a table used once never builds an image, and a
-    shared table reaches the same warm cache one pass later.
+    """``embed`` of an input that is not a quantum minor: with
+    x = det_q * y + r (``_divide_by_det``), embed(det_q) * embed(y) plus
+    c * image(h) summed over the terms c * Y^h of r.  embed(det_q) is the
+    path-system sum, which does not assume it is Delta_n; it and each
+    image(h), ``embed_monomial_at_step`` at the top step, are built the
+    first time the table uses them and kept.
     """
     ctx = table.ctx
+    y, r = _divide_by_det(table, x)
     cache = table._embed_cache
-    seen = table._embed_seen
-    out: dict[ExponentVector, RationalFunction] = {}
-    rest: dict[ExponentVector, RationalFunction] = {}
-    for exp, coeff in x.terms.items():
-        img = cache.get(exp)
+    result = TorusElement(ctx)
+    for h, coeff in r.terms.items():
+        img = cache.get(h)
         if img is None:
-            if exp not in seen:
-                seen.add(exp)
-                rest[exp] = coeff
-                continue
-            img = embed_monomial_at_step(table, ctx.top_step(), exp)
-            cache[exp] = img
+            img = cache[h] = embed_monomial_at_step(table, ctx.top_step(), h)
         for e, c in img.terms.items():
-            add_into(out, e, c * coeff)
-    cached = TorusElement(ctx)
-    cached.terms = out
-    if not rest:
-        return cached
-    top = table.top_entries()
-    entries = [top[gen] for gen in ctx.generators]
-    return cached + _embed_horner(ctx, entries, rest)
+            add_into(result.terms, e, c * coeff)
+    if y:
+        if table._det_image is None:
+            span = range(1, ctx.n + 1)
+            table._det_image = _path_systems(table, span, span)
+        result = result + table._det_image * _embed_product(table, y)
+    return result
 
 
-def _embed_horner(
-    ctx: AlgebraContext,
-    entries: list[TorusElement],
-    terms: dict[ExponentVector, RationalFunction],
-) -> TorusElement:
-    """Sum of c * entries[0]^h_0 * ... * entries[m-1]^h_{m-1} over the
-    nonempty {h: c}, all h of one length m and natural.
+def _divide_by_det(
+    table: StepGeneratorTable, x: MatrixAlgebraElement
+) -> tuple[MatrixAlgebraElement, MatrixAlgebraElement]:
+    """(y, r) with x = det_q * y + r, the diagonal Y11...Ynn dividing no
+    term of r.
 
-    With k the last position any h uses, grouping by h_k gives
-    sum_j G_j * entries[k]^j, each G_j over the prefixes h[:k]; it is
-    evaluated as (..(G_J * entries[k] + G_{J-1}) * entries[k] ..) + G_0.
+    Leading-term division over the weight of ``solve_monomial_combination``
+    (generator (i, a) weighs i*a).  The heaviest term of det_q is the
+    diagonal, with coefficient 1, and straightening only lowers the weight,
+    so det_q * Y^g is kappa * Y^(g + diagonal) plus lighter terms, kappa a
+    power of q.  Subtracting such a product removes the heaviest term that
+    the diagonal divides and adds only lighter ones.  The table keeps
+    det_q (at g = 0) and each product it builds.
     """
-    k = len(next(iter(terms)))
-    while k and not any(h[k - 1] for h in terms):
-        k -= 1
-    if not k:
-        (c,) = terms.values()
-        return TorusElement.scalar(ctx, c)
-    k -= 1
-    groups: dict[int, dict] = {}
-    for h, c in terms.items():
-        groups.setdefault(h[k], {})[h[:k]] = c
-    entry = entries[k]
-    last = max(groups)
-    acc = _embed_horner(ctx, entries, groups[last])
-    for j in range(last - 1, -1, -1):
-        acc = acc * entry
-        group = groups.get(j)
-        if group:
-            acc = acc + _embed_horner(ctx, entries, group)
-    return acc
+    ctx = table.ctx
+    weights = [i * a for i, a in ctx.generators]
+    diagonal = [int(i == a) for i, a in ctx.generators]
+    products, zero = table._det_multiples, zero_exponents(ctx)
+    y: dict[ExponentVector, RationalFunction] = {}
+    rest = dict(x.terms)
+    while True:
+        divisible = [h for h in rest if min(map(sub, h, diagonal)) >= 0]
+        if not divisible:
+            return MatrixAlgebraElement(ctx, y), MatrixAlgebraElement(ctx, rest)
+        h = max(divisible, key=lambda h: sum(map(mul, weights, h)))
+        g = tuple(map(sub, h, diagonal))
+        if g not in products:
+            if zero not in products:
+                products[zero] = qdet(ctx)
+            products[g] = products[zero] * MatrixAlgebraElement.monomial(ctx, g)
+        y[g] = coeff = rest.pop(h) / products[g].terms[h]
+        for e, c in products[g].terms.items():
+            if e != h:
+                add_into(rest, e, -coeff * c)
+        check_terms(len(rest), "det_q division remainder")
 
 
 # ---------------------------------------------------------------------------

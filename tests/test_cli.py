@@ -360,5 +360,5 @@ class TestVerifySuite:
         assert "all pass" in out
 
     def test_out_of_range_refused(self, capsys):
-        code, _ = run_cli(capsys, "verify-suite", "--n", "5")
+        code, _ = run_cli(capsys, "verify-suite", "--n", "6")
         assert code == 1

@@ -145,7 +145,7 @@ def test_solve_detects_inconsistency():
 # canonical suite reports are byte-identical to the recorded ones
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_canonical_suite_matches_golden(n, capsys):
     code = main(["verify-suite", "--n", str(n), "--canonical"])
     out = capsys.readouterr().out

@@ -23,7 +23,12 @@ from qmat.errors import DimensionMismatchError, IndexOutOfRangeError
 from qmat.matrixalg import MatrixAlgebraElement, sigma_automorphism
 from qmat.rational import RF_ONE
 from qmat.serialize import derivation_to_json, element_to_json
-from qmat.torus import TorusElement
+from qmat.torus import (
+    TorusElement,
+    delta_lattice_coordinates,
+    is_central_monomial,
+    zset_conditions,
+)
 from qmat.tower import (
     build_table,
     embed,
@@ -84,8 +89,18 @@ def test_elements_of_different_algebras_are_never_equal():
         lambda exp: MatrixAlgebraElement.monomial(C3, exp),
         lambda exp: TorusElement.monomial(C3, exp),
         lambda exp: embed_monomial_at_step(T3, C3.top_step(), exp),
+        lambda exp: is_central_monomial(C3, exp),
+        lambda exp: zset_conditions(C3, exp),
+        lambda exp: delta_lattice_coordinates(C3, exp),
     ],
-    ids=["MatrixAlgebraElement", "TorusElement", "embed_monomial_at_step"],
+    ids=[
+        "MatrixAlgebraElement",
+        "TorusElement",
+        "embed_monomial_at_step",
+        "is_central_monomial",
+        "zset_conditions",
+        "delta_lattice_coordinates",
+    ],
 )
 @pytest.mark.parametrize(
     "exp", [(), (1, 0, 0, 0), (1,) + (0,) * 11, (1,) + (0,) * 15], ids=len

@@ -1,10 +1,16 @@
 """Quantum minors by vertex-disjoint path systems.
 
 The top table against the closed form of the path model, and ``embed``'s
-path-system sum against the product path ``_embed_product`` it bypasses.
+path-system sum against Horner's rule over the PBW order
+(tests/horner_oracle.py), which multiplies top entries only.  The product
+path ``tower._embed_product`` is no oracle here: it divides det_q out and
+embeds it by the path-system sum, so embed(det_q) would be checked against
+itself.
 """
 
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +23,18 @@ from qmat.limits import restored_max_terms, set_max_terms
 from qmat.matrixalg import MatrixAlgebraElement, qdet, qminor
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.torus import TorusElement, delta_exponents
-from qmat.tower import _embed_product, build_table, embed
+from qmat.tower import build_table, embed
+
+
+def _load_oracle():
+    path = Path(__file__).with_name("horner_oracle.py")
+    spec = importlib.util.spec_from_file_location("horner_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+horner_embed = _load_oracle().horner_embed
 
 
 def path_closed_form(n, i, a):
@@ -76,14 +93,14 @@ class TestAgainstProductPath:
         table = build_table(build_context(n))
         count = 0
         for m in minors(n, range(2, n + 1)):
-            assert embed(table, m) == _embed_product(table, m)
+            assert embed(table, m) == horner_embed(table, m)
             count += 1
         assert len(path_calls) == count
 
     def test_every_3x3_minor_at_n5(self, path_calls):
         table = build_table(build_context(5))
         for m in minors(5, [3]):
-            assert embed(table, m) == _embed_product(table, m)
+            assert embed(table, m) == horner_embed(table, m)
         assert len(path_calls) == 100
 
     @settings(max_examples=25, deadline=None)
@@ -100,7 +117,7 @@ class TestAgainstProductPath:
         c = RationalFunction(num, den)
         x = qminor(ctx, sorted(rows[:t]), sorted(cols[:t])).scale(c)
         assert tower._as_minor(ctx, x) is not None
-        assert embed(table, x) == _embed_product(table, x)
+        assert embed(table, x) == horner_embed(table, x)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_qdet_is_delta_n(self, n, path_calls):
@@ -114,7 +131,7 @@ class TestAgainstProductPath:
         table = build_table(ctx)
         first = embed(table, qdet(ctx))
         assert embed(table, qdet(ctx)) == first
-        assert not table._embed_cache and not table._embed_seen
+        assert not table._embed_cache
 
 
 def _near_misses(ctx):
@@ -146,7 +163,7 @@ def test_near_misses_take_the_product_path(case, path_calls):
     x = MatrixAlgebraElement(ctx, _near_misses(ctx)[case])
     table = build_table(ctx)
     assert tower._as_minor(ctx, x) is None
-    assert embed(table, x) == _embed_product(table, x)
+    assert embed(table, x) == horner_embed(table, x)
     assert path_calls == []
 
 

@@ -20,7 +20,7 @@ class TestSuite:
 
     def test_out_of_range(self):
         with pytest.raises(ResourceLimitError):
-            run_suite(5)
+            run_suite(6)
         with pytest.raises(ResourceLimitError):
             run_suite(1)
 

@@ -1,4 +1,8 @@
+import importlib.util
 import random
+from contextlib import contextmanager
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from qmat.context import build_context
 from qmat.errors import NotAMonomialError, NotInSpanError
 from qmat.matrixalg import MatrixAlgebraElement, b_minor, qdet
 from qmat.rational import RF_ONE, RationalFunction
+from qmat.sparse import unit_exponent
 from qmat.torus import TorusElement, delta_exponents
 from qmat.tower import (
     build_table,
@@ -21,6 +26,17 @@ from qmat.tower import (
     verify_relations_preserved,
     verify_step_factorizations,
 )
+
+
+def _load_oracle():
+    path = Path(__file__).with_name("horner_oracle.py")
+    spec = importlib.util.spec_from_file_location("horner_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+horner_embed = _load_oracle().horner_embed
 
 
 @pytest.fixture(scope="module")
@@ -153,9 +169,14 @@ def _coeffs():
 # cap keeps the oracle's uncollapsed products small
 MAX_DEGREE = {2: 6, 3: 4, 4: 3}
 
+# degree cap of z in det_q^k * z + w.  Horner takes 1.3 s on det_q^2 alone
+# at n = 4 and 16-80 s on det_q^2 * z with z of degree 1 to 3, so the
+# comparison with Horner draws k = 1 only at n = 4
+Z_DEGREE = {(2, 1): 3, (2, 2): 2, (3, 1): 2, (3, 2): 1, (4, 1): 1, (4, 2): 0}
+
 
 @st.composite
-def pbw_elements(draw, n):
+def pbw_elements(draw, n, max_degree=None):
     """Elements of up to four terms, including zero, scalars and single
     generators raised to the whole degree budget."""
     ctx = build_context(n)
@@ -163,7 +184,7 @@ def pbw_elements(draw, n):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         exp = [0] * nn
-        budget = draw(st.integers(0, MAX_DEGREE[n]))
+        budget = draw(st.integers(0, MAX_DEGREE[n] if max_degree is None else max_degree))
         while budget:
             power = draw(st.integers(1, budget))
             exp[draw(st.integers(0, nn - 1))] += power
@@ -172,12 +193,54 @@ def pbw_elements(draw, n):
     return MatrixAlgebraElement(ctx, terms)
 
 
+@lru_cache(maxsize=None)
+def _det_power(n, k):
+    det = qdet(build_context(n))
+    return det if k == 1 else det * _det_power(n, k - 1)
+
+
+@st.composite
+def det_multiples(draw, n, powers=(1, 2)):
+    """det_q^k * z + w for k in powers and PBW elements z and w."""
+    k = draw(st.sampled_from(powers))
+    z = draw(pbw_elements(n, Z_DEGREE[n, k]))
+    return _det_power(n, k) * z + draw(pbw_elements(n))
+
+
 SHARED = {n: build_table(build_context(n)) for n in MAX_DEGREE}
 
 
+def _cached_after(table, x):
+    """Monomials whose images embed(table, x) sums: none for a scalar times
+    a quantum minor, else the remainders of repeated division by det_q."""
+    if tower._as_minor(x.ctx, x) is not None:
+        return set()
+    keys = set()
+    while x:
+        x, r = tower._divide_by_det(table, x)
+        keys |= set(r.terms)
+    return keys
+
+
+@contextmanager
+def _built_images():
+    """Exponents of the images ``embed`` builds inside the block."""
+    built = []
+    original = tower.embed_monomial_at_step
+
+    def counted(table, step, exp):
+        built.append(exp)
+        return original(table, step, exp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tower, "embed_monomial_at_step", counted)
+        yield built
+
+
 class TestHornerEmbed:
-    """``embed`` (Horner over the PBW order, images cached on second use)
-    against the sum of the step-monomial images of its terms."""
+    """``embed`` against the sum of the step-monomial images of its terms
+    and against Horner's rule over the PBW order (tests/horner_oracle.py).
+    A monomial's image is built once, the first time the table uses it."""
 
     @pytest.mark.parametrize("n", sorted(MAX_DEGREE))
     @settings(max_examples=25, deadline=None)
@@ -186,36 +249,44 @@ class TestHornerEmbed:
         x = data.draw(pbw_elements(n))
         table = build_table(x.ctx)
         assert embed(table, x) == _oracle(table, x)
-        assert not table._embed_cache
+        assert set(table._embed_cache) == _cached_after(table, x)
 
     @pytest.mark.parametrize("n", sorted(MAX_DEGREE))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_mixed_cached_and_uncached(self, n, data):
         x = data.draw(pbw_elements(n))
-        warm = [h for h in x.terms if data.draw(st.booleans())]
         table = build_table(x.ctx)
+        needed = _cached_after(table, x)
+        warm = {h for h in sorted(needed) if data.draw(st.booleans())}
         for h in warm:
-            for _ in range(2):
-                embed(table, MatrixAlgebraElement.monomial(x.ctx, h))
-        assert set(table._embed_cache) == set(warm)
-        assert embed(table, x) == _oracle(table, x)
-        assert set(table._embed_cache) == set(warm)
+            embed(table, MatrixAlgebraElement.monomial(x.ctx, h))
+        assert set(table._embed_cache) == warm
+        expected = _oracle(table, x)
+        with _built_images() as built:
+            assert embed(table, x) == expected
+        assert sorted(built) == sorted(needed - warm)
+        assert set(table._embed_cache) == needed
 
     @pytest.mark.parametrize("n", sorted(MAX_DEGREE))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_shared_table_repeated(self, n, data):
-        # SHARED[n] keeps its cache and seen set across examples
+        # SHARED[n] keeps its cache across examples
         x = data.draw(pbw_elements(n))
         table = SHARED[n]
         expected = _oracle(table, x)
         for _ in range(3):
             assert embed(table, x) == expected
-        # a scalar times a quantum minor takes the path-system sum, which
-        # leaves the cache alone (tests/test_path_minors.py pins that)
-        if tower._as_minor(x.ctx, x) is None:
-            assert set(x.terms) <= set(table._embed_cache)
+        assert _cached_after(table, x) <= set(table._embed_cache)
+
+    @pytest.mark.parametrize("n", sorted(MAX_DEGREE))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_det_multiples_against_horner(self, n, data):
+        powers = (1,) if n == 4 else (1, 2)
+        x = data.draw(det_multiples(n, powers) | pbw_elements(n))
+        assert embed(SHARED[n], x) == horner_embed(SHARED[n], x)
 
     def test_construction_rejects_negative_exponent(self):
         ctx = build_context(2)
@@ -231,25 +302,41 @@ class TestHornerEmbed:
         with pytest.raises(NotAMonomialError):
             embed_monomial_at_step(table, top, (-1, 0, 0, 0))
 
-    def test_images_built_on_second_use_only(self, monkeypatch):
+    def test_images_built_once_on_first_use(self):
         ctx = build_context(3)
         x = qdet(ctx) + Y(ctx, 1, 2) * Y(ctx, 3, 3).scale(RationalFunction.q_power(2))
-        calls = []
-        original = tower.embed_monomial_at_step
-
-        def counted(table, step, exp):
-            calls.append(exp)
-            return original(table, step, exp)
-
-        monkeypatch.setattr(tower, "embed_monomial_at_step", counted)
         table = build_table(ctx)
-        first = embed(table, x)
-        assert calls == []
-        assert embed(table, x) == first
-        assert sorted(calls) == sorted(x.terms)
-        calls.clear()
-        assert embed(table, x) == first
-        assert calls == []
+        with _built_images() as built:
+            first = embed(table, x)
+            # x = det_q * 1 + q^2 * Y12 * Y33: the images of Y12 * Y33 and 1
+            assert built == [(0, 1, 0, 0, 0, 0, 0, 0, 1), (0,) * 9]
+            built.clear()
+            assert embed(table, x) == first
+            assert built == []
+        assert first == _oracle(table, x)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_det_times_a_generator_builds_only_its_image(self, n):
+        ctx = build_context(n)
+        table = build_table(ctx)
+        for gen in ctx.generators:
+            x = qdet(ctx) * Y(ctx, *gen)
+            with _built_images() as built:
+                image = embed(table, x)
+            assert built == [unit_exponent(ctx, gen)]
+            assert image == horner_embed(table, x)
+
+
+@pytest.mark.parametrize("n", sorted(MAX_DEGREE))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_division_by_det(n, data):
+    # x = det_q * y + r exactly, and the diagonal divides no term of r
+    x = data.draw(det_multiples(n) | pbw_elements(n))
+    y, r = tower._divide_by_det(SHARED[n], x)
+    assert qdet(x.ctx) * y + r == x
+    diagonal = [x.ctx.flat(i, i) for i in range(1, n + 1)]
+    assert not any(all(h[k] for k in diagonal) for h in r.terms)
 
 
 class TestRebase:
