@@ -27,11 +27,6 @@ class NotInSpanError(QmatError):
     natural ones, or those in a given exponent box (a larger may succeed)."""
 
 
-class PivotNotMonomialError(QmatError):
-    """A tower pivot that must be invertible is not a single monomial.
-    Signals an implementation bug."""
-
-
 class ResourceLimitError(QmatError):
     """A computation exceeded the configured term-count limit."""
 

@@ -15,9 +15,11 @@ A product has one path: the larger factor is translated by each term T^t
 of the smaller one, x -> x + t on its exponents.  A translation is
 injective and Q(q) has no zero divisors, so the terms of one translate
 never collide or cancel and are built in one pass; the translates are
-then summed.  A one-term factor, as in ``build_table``'s pivot inverse,
+then summed.  A one-term factor, as in the lift's pivot inverse,
 ``embed``'s det_q image and ``embed_monomial_at_step``'s start, makes the
-product a single translation.
+product a single translation.  ``build_table`` forms no product: it joins
+Cauchon paths, and ``verify_forward_recursion`` certifies the joins with
+this product.
 """
 
 from __future__ import annotations

@@ -6,20 +6,26 @@ ascending the steps with pivot (j, b) = r adds the cross-term correction
 
     next[(i, a)] = cur[(i, a)] + cur[(i, b)] * cur[(j, b)]^{-1} * cur[(j, a)]
 
-for i < j and a < b, and leaves every other entry unchanged.  The pivot
-entry is always the single monomial T(j, b), so the only inverses ever
-needed are monomial inverses.  Row j, column b and the pivot are fixed by
-step (j, b), so P^{-1} * cur[(j, a)] is formed once per column a (and, in
-the lift, cur[(i, b)] * P^{-1} once per row i).  The top step realises the
-embedding of the quantum-matrix algebra into the torus.
+for i < j and a < b, and leaves every other entry unchanged.  The top
+step realises the embedding of the quantum-matrix algebra into the torus.
 
-Each term of a top entry (i, a) is one path in the Cauchon graph (Cauchon,
-J. Algebra 260, 2003): with outer corners (i, c_0), (r_1, c_1), ...,
-(r_m, a) and inner corners (r_1, c_0), ..., (r_m, c_{m-1}), where
-i < r_1 < ... < r_m and c_0 > ... > c_m = a, the term is
-q^m * prod T(outer) / prod T(inner), and the path runs west along row i
-from column n to c_0, down to r_1, west to c_1, ..., and down column a to
-row n.  By Casteels (Quantum matrices by paths, Algebra & Number Theory 8,
+Each term of an entry (i, a), at every step, is one path in the Cauchon
+graph (Cauchon, J. Algebra 260, 2003): with outer corners (i, c_0),
+(r_1, c_1), ..., (r_m, a) and inner corners (r_1, c_0), ...,
+(r_m, c_{m-1}), where i < r_1 < ... < r_m and c_0 > ... > c_m = a, the
+term is q^m * prod T(outer) / prod T(inner), and the path runs west along
+row i from column n to c_0, down to r_1, west to c_1, ..., and down column
+a to row n.  At step L the entry sums the paths whose inner corners all
+come before L in flat order.  A path of (j, b) other than T(j, b) would
+need an inner corner below row j, so the pivot is the single monomial
+T(j, b) and the correction joins paths: a path of (i, b), which reaches
+column b above row j, turns at the new inner corner (j, b) into a path of
+(j, a).  ``build_table`` builds every level by these joins and multiplies
+nothing; ``verify_forward_recursion`` (suite check tower-03) certifies
+each level against the recursion above in torus products.  The lift
+(``derivations._lift``) unwinds the recursion with real products.
+
+By Casteels (Quantum matrices by paths, Algebra & Number Theory 8,
 2014) the image of the quantum minor on rows i_1 < ... < i_t and columns
 a_1 < ... < a_t is the sum, over the systems of vertex-disjoint paths
 i_k -> a_k, of the product of the paths in row order.  ``embed`` takes
@@ -35,12 +41,7 @@ from math import factorial
 from operator import add, mul, sub
 
 from .context import AlgebraContext, GeneratorIndex, StepIndex, sweep_cells
-from .errors import (
-    IndexOutOfRangeError,
-    NotAMonomialError,
-    NotInSpanError,
-    PivotNotMonomialError,
-)
+from .errors import IndexOutOfRangeError, NotAMonomialError, NotInSpanError
 from .limits import check_terms
 from .matrixalg import MatrixAlgebraElement, b_minor, qdet, qminor, relation_report
 from .rational import RF_ONE, RationalFunction
@@ -49,6 +50,7 @@ from .sparse import (
     add_into,
     require_length,
     require_operand,
+    unit_exponent,
     zero_exponents,
 )
 from .torus import TorusElement, commutation_exponent
@@ -75,26 +77,37 @@ class StepGeneratorTable:
 
 
 def build_table(ctx: AlgebraContext) -> StepGeneratorTable:
+    """Every level of the tower, each entry a sum of Cauchon paths.
+
+    Ascending with pivot (j, b), j, b > 1, the entry (i, a), i < j and
+    a < b, gains one term per pair of a term x of entry (i, b) and a term
+    y of entry (j, a): x ends at an outer corner (r, b) with r < j, (j, b)
+    becomes an inner corner and y continues the path from row j.  The
+    joined term is q^m * T^(x + y - e(j,b)), where m = m_x + m_y + 1 counts
+    the inner corners, which are its -1 exponents.  This is the correction
+    cur(i,b) * T(j,b)^{-1} * cur(j,a) of the module docstring without a
+    torus product; ``verify_forward_recursion`` checks it with products.
+    """
     table = StepGeneratorTable(ctx)
-    base = {
-        gen: TorusElement.generator(ctx, gen) for gen in ctx.generators
-    }
-    table.entries[ctx.E[0]] = base
-    cur = base
-    for idx, r in enumerate(ctx.E[:-1]):
-        j, b = r
-        nxt = dict(cur)
+    powers = [RationalFunction.q_power(m) for m in range(ctx.n)]
+    cur = {gen: TorusElement.generator(ctx, gen) for gen in ctx.generators}
+    table.entries[ctx.E[0]] = cur
+    for idx, (j, b) in enumerate(ctx.E[:-1]):
+        cur = dict(cur)
         if j > 1 and b > 1:
-            pivot = cur[(j, b)]
-            if not pivot.is_monomial():
-                raise PivotNotMonomialError(f"pivot at step {r} is not a monomial")
-            pinv = pivot.invert_monomial()
+            pivot = unit_exponent(ctx, (j, b))
             for a in range(1, b):
-                right = pinv * cur[(j, a)]
+                right = [tuple(map(sub, y, pivot)) for y in cur[(j, a)].terms]
                 for i in range(1, j):
-                    nxt[(i, a)] = cur[(i, a)] + cur[(i, b)] * right
-        table.entries[ctx.E[idx + 1]] = nxt
-        cur = nxt
+                    entry = TorusElement(ctx)
+                    terms = entry.terms = dict(cur[(i, a)].terms)
+                    for x in cur[(i, b)].terms:
+                        for y in right:
+                            e = tuple(map(add, x, y))
+                            terms[e] = powers[e.count(-1)]
+                    check_terms(len(terms), "tower table")
+                    cur[(i, a)] = entry
+        table.entries[ctx.E[idx + 1]] = cur
     return table
 
 
@@ -347,7 +360,11 @@ def verify_step_factorizations(table: StepGeneratorTable) -> list[dict]:
 
 def verify_forward_recursion(table: StepGeneratorTable) -> bool:
     """Apply the downward recursion to each built level and compare with the
-    stored previous level."""
+    stored previous level.
+
+    The recursion runs in torus products and a pivot inverse, which
+    ``build_table`` never forms, so this certifies its path joins at every
+    level."""
     ctx = table.ctx
     for idx, r in enumerate(ctx.E[:-1]):
         j, b = r
@@ -408,24 +425,28 @@ def solve_monomial_combination(
     ``NotInSpanError``: the heaviest terms of a combination of images are
     its own h, which also makes the result unique (PBW independence).
     Images keep the row and column sums of h, so the division ends once the
-    admissible h of those sums are used up.
+    admissible h of those sums are used up.  The remainder is one dict
+    updated in place, and each exponent's weight is computed once.
     """
     weights = [i * a for i, a in x.ctx.generators]
+    weight: dict[ExponentVector, int] = {}
     coords: dict[ExponentVector, RationalFunction] = {}
-    rest = x
+    rest = dict(x.terms)
     while rest:
-        w = {h: sum(map(mul, weights, h)) for h in rest.terms}
-        top = max(w.values())
-        for h, c in [(h, c) for h, c in rest.terms.items() if w[h] == top]:
+        for h in rest:
+            if h not in weight:
+                weight[h] = sum(map(mul, weights, h))
+        top = max(weight[h] for h in rest)
+        for h, c in [(h, c) for h, c in rest.items() if weight[h] == top]:
             if not admissible(h):
                 raise NotInSpanError(
                     f"leading exponent {h} is not an admissible monomial"
                 )
             img = image(h)
-            coeff = c / img.terms[h]
-            coords[h] = coeff
-            rest = rest - img.scale(coeff)
-        check_terms(len(rest.terms), "rebase remainder")
+            coords[h] = coeff = c / img.terms[h]
+            for e, ce in img.terms.items():
+                add_into(rest, e, -(ce * coeff))
+        check_terms(len(rest), "rebase remainder")
     return coords
 
 

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmat.derivations as derivations
 import qmat.tower as tower
 from qmat.context import build_context
 from qmat.errors import NotAMonomialError, NotInSpanError
+from qmat.limits import check_terms
 from qmat.matrixalg import MatrixAlgebraElement, b_minor, qdet
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.sparse import unit_exponent
-from qmat.torus import TorusElement, delta_exponents
+from qmat.torus import TorusElement, delta_exponents, is_central_monomial
 from qmat.tower import (
     build_table,
     default_box,
@@ -435,6 +437,77 @@ class TestRebase:
                 for exp, c in expected.items():
                     x = x + embed_monomial_at_step(table, step, exp).scale(c)
                 assert rebase_to_step(table, step, x) == expected
+
+
+def _division_by_copies(x, image, admissible=tower.is_natural):
+    """``solve_monomial_combination`` as it was when it copied the whole
+    remainder for every heaviest term and reweighed every term each round."""
+    weights = [i * a for i, a in x.ctx.generators]
+    coords = {}
+    rest = x
+    while rest:
+        w = {h: sum(a * b for a, b in zip(weights, h)) for h in rest.terms}
+        top = max(w.values())
+        for h, c in [(h, c) for h, c in rest.terms.items() if w[h] == top]:
+            if not admissible(h):
+                raise NotInSpanError(
+                    f"leading exponent {h} is not an admissible monomial"
+                )
+            img = image(h)
+            coeff = c / img.terms[h]
+            coords[h] = coeff
+            rest = rest - img.scale(coeff)
+        check_terms(len(rest.terms), "rebase remainder")
+    return coords
+
+
+@st.composite
+def torus_noise(draw, n):
+    """Up to two torus monomials with exponents in 0..1 or -1..1: the
+    natural ones lie in every span the division uses, the others often
+    not."""
+    ctx = build_context(n)
+    out = TorusElement(ctx)
+    for _ in range(draw(st.integers(0, 2))):
+        exps = st.integers(draw(st.sampled_from([0, -1])), 1)
+        exp = tuple(draw(st.lists(exps, min_size=n * n, max_size=n * n)))
+        out = out + TorusElement.monomial(ctx, exp, draw(_coeffs()))
+    return out
+
+
+def _outcome(solve):
+    """The terms of the result in order, or the error it raised."""
+    try:
+        out = solve()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return list((out if isinstance(out, dict) else out.terms).items())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_division_in_place_matches_division_by_copies(n, data):
+    # rebase_to_step, rebase_to_matrix_algebra and _solve_inner_part give
+    # the same coordinates, in the same order, or the same error, whichever
+    # division they run
+    table = SHARED[n]
+    ctx = table.ctx
+    x = embed(table, data.draw(pbw_elements(n, 2))) + data.draw(torus_noise(n))
+    step = data.draw(st.sampled_from(ctx.E))
+    noncentral = TorusElement(
+        ctx, {g: c for g, c in x.terms.items() if not is_central_monomial(ctx, g)}
+    )
+    solves = [
+        lambda: rebase_to_step(table, step, x),
+        lambda: rebase_to_matrix_algebra(table, x),
+        lambda: derivations._solve_inner_part(table, noncentral),
+    ]
+    in_place = [_outcome(solve) for solve in solves]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (tower, derivations):
+            patch.setattr(module, "solve_monomial_combination", _division_by_copies)
+        assert [_outcome(solve) for solve in solves] == in_place
 
 
 def _coeff(rng):
