@@ -125,6 +125,10 @@ def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
     _require(isinstance(data.get("images"), list), "spec needs an images list")
     dim = data.get("n")
     _require(dim is None or _is_int(dim), "spec n must be an integer")
+    if dim is None:
+        dim = n
+    elif n is not None and dim != n:
+        raise DimensionMismatchError(f"spec has n = {dim}, expected {n}")
     images = {}
     for entry in data["images"]:
         _require(isinstance(entry, dict), "image entries must be objects")
@@ -137,18 +141,13 @@ def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
         )
         _require("value" in entry, f"image of {gen} needs a value")
         _require(tuple(gen) not in images, f"generator {gen} has two images")
-        value = element_from_json(entry["value"], alg=alg, n=n)
-        if dim is None:
-            dim = value.ctx.n
-        elif value.ctx.n != dim:
-            raise DimensionMismatchError("mixed dimensions in derivation spec")
+        value = element_from_json(entry["value"], alg=alg, n=dim)
+        dim = value.ctx.n
+        in_grid = 1 <= min(gen) <= max(gen) <= dim
+        _require(in_grid, f"generator {tuple(gen)} outside the grid")
         images[tuple(gen)] = value
     _require(dim is not None, "empty derivation spec without dimension")
-    ctx = build_context(dim)
-    for gen in images:
-        if not (1 <= gen[0] <= ctx.n and 1 <= gen[1] <= ctx.n):
-            raise ParseError(f"generator {gen} outside the grid")
-    return DerivationSpec(ctx, alg, images)
+    return DerivationSpec(build_context(dim), alg, images)
 
 
 def det_poly_to_json(p: DetPolynomial) -> list:

@@ -1,0 +1,182 @@
+"""The certificates and the suite's checks fail when the answer is wrong.
+
+Each test plants one wrong value (an inner part off by Y(1,2), or one
+coefficient of the top tower entry (1,1) off by a factor q) and checks
+that the certificate downstream of it rejects the answer.
+"""
+
+import json
+import random
+from importlib.resources import files
+
+import jsonschema
+import pytest
+
+import qmat.derivations as derivations
+import qmat.suite as suite
+from qmat.cli import main
+from qmat.context import build_context
+from qmat.derivations import (
+    _weighted_basis_sum,
+    ad,
+    basis_derivation,
+    express_hh1,
+    gl_express,
+)
+from qmat.errors import ConditionViolatedError
+from qmat.matrixalg import MatrixAlgebraElement
+from qmat.rational import RationalFunction
+from qmat.torus import TorusElement
+from qmat.tower import build_table
+
+RESIDUAL = "reconstruction residual is nonzero"
+TABLES = {n: build_table(build_context(n)) for n in (2, 3)}
+
+
+def _suite_style_spec(ctx, seed):
+    """ad(x) + sum_j mu_j(det_q) D_j with a random two-term x, deg mu_j <= 1."""
+    rng = random.Random(seed)
+    nn = ctx.n * ctx.n
+    x = MatrixAlgebraElement(ctx)
+    for _ in range(2):
+        exp = [0] * nn
+        for _ in range(rng.randint(1, 2)):
+            exp[rng.randrange(nn)] += 1
+        x = x + MatrixAlgebraElement.monomial(
+            ctx, tuple(exp), RationalFunction.from_int(rng.randint(1, 4))
+        )
+    mu = [
+        {
+            k: RationalFunction.q_power(rng.randint(-2, 2))
+            for k in range(2)
+            if rng.random() < 0.6
+        }
+        for _ in range(2 * ctx.n - 1)
+    ]
+    return ad(x) + _weighted_basis_sum(ctx, mu)
+
+
+SPECS = [
+    pytest.param(2, lambda ctx: basis_derivation(ctx, 1), id="D1-n2"),
+    pytest.param(3, lambda ctx: basis_derivation(ctx, 1), id="D1-n3"),
+    pytest.param(3, lambda ctx: _suite_style_spec(ctx, 1732), id="suite-style-n3"),
+]
+
+
+@pytest.fixture
+def wrong_inner_part(monkeypatch):
+    """_solve_inner_part returns the true inner part plus Y(1,2), and every
+    call of check_derivation is counted."""
+    solve = derivations._solve_inner_part
+    check = derivations.check_derivation
+    checks = []
+
+    def off_by_y12(table, x_torus):
+        ctx = table.ctx
+        return solve(table, x_torus) + MatrixAlgebraElement.generator(ctx, (1, 2))
+
+    def counted(d):
+        checks.append(d)
+        return check(d)
+
+    monkeypatch.setattr(derivations, "_solve_inner_part", off_by_y12)
+    monkeypatch.setattr(derivations, "check_derivation", counted)
+    return checks
+
+
+class TestResidualCertificate:
+    @pytest.mark.parametrize("n, make", SPECS)
+    def test_express_hh1_rejects_a_wrong_inner_part(self, wrong_inner_part, n, make):
+        d = make(build_context(n))
+        with pytest.raises(ConditionViolatedError) as info:
+            express_hh1(TABLES[n], d)
+        assert str(info.value) == RESIDUAL
+        # d is a derivation, so the one check on failure passes and the
+        # residual's error propagates
+        assert len(wrong_inner_part) == 1
+
+    @pytest.mark.parametrize("n, make", SPECS)
+    def test_gl_express_rejects_a_wrong_inner_part(self, wrong_inner_part, n, make):
+        d = make(build_context(n))
+        with pytest.raises(ConditionViolatedError) as info:
+            gl_express(TABLES[n], d, 0)
+        assert str(info.value) == RESIDUAL
+        assert len(wrong_inner_part) == 1
+
+    @pytest.mark.parametrize("n, make", SPECS)
+    def test_true_inner_part_passes(self, n, make):
+        d = make(build_context(n))
+        coords = express_hh1(TABLES[n], d)
+        assert (d - ad(coords.inner) - _weighted_basis_sum(d.ctx, coords.mu)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# a suite run on a broken tower
+
+BROKEN_CHECKS = {
+    "tower-03-recursion",
+    "tower-04-minor-monomials",
+    "hh1-01-basis-02",
+    "hh1-02-inner",
+    "hh1-03-reconstruction",
+    "sl-02-weight-sum",
+}
+
+
+@pytest.fixture
+def broken_tower(monkeypatch):
+    """The suite's table has the largest-exponent coefficient of top entry
+    (1,1) multiplied by q."""
+    build = suite.build_table
+
+    def broken(ctx):
+        table = build(ctx)
+        top = table.top_entries()
+        terms = dict(top[(1, 1)].terms)
+        exp = max(terms)
+        terms[exp] = terms[exp] * RationalFunction.q_power(1)
+        top[(1, 1)] = TorusElement(ctx, terms)
+        return table
+
+    monkeypatch.setattr(suite, "build_table", broken)
+
+
+class TestSuiteOnABrokenTower:
+    def test_the_affected_checks_fail_with_witnesses(self, broken_tower):
+        report = suite.run_suite(2, canonical=True)
+        failed = {c["id"]: c["witness"] for c in report.checks if c["status"] == "fail"}
+        assert set(failed) == BROKEN_CHECKS
+        assert all(w for w in failed.values())
+        assert failed["tower-04-minor-monomials"] == (
+            "antidiagonal minor 2 is not the expected monomial"
+        )
+        # a crash inside a check is recorded as a failure naming the error
+        assert failed["hh1-02-inner"] == f"ConditionViolatedError: {RESIDUAL}"
+        assert not report.all_pass()
+
+    def test_the_report_still_validates(self, broken_tower):
+        data = suite.run_suite(2, canonical=True).to_json()
+        assert data["all_pass"] is False
+        schema = json.loads(
+            (files("qmat") / "schemas" / "report.schema.json").read_text()
+        )
+        jsonschema.validate(data, schema)
+
+    def test_verify_suite_exits_1(self, broken_tower, capsys):
+        assert main(["verify-suite", "--n", "2", "--canonical"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["all_pass"] is False
+        failed = {c["id"] for c in data["checks"] if c["status"] == "fail"}
+        assert failed == BROKEN_CHECKS
+
+    def test_markdown_lists_every_failure(self, broken_tower, capsys):
+        code = main(["verify-suite", "--n", "2", "--out", "markdown", "--canonical"])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAILURES present" in lines
+        listed = lines[lines.index("FAILURES present") + 1:]
+        assert [line.split(":")[0] for line in listed] == [
+            f"- {check_id}" for check_id in sorted(BROKEN_CHECKS)
+        ]
+        for check_id in BROKEN_CHECKS:
+            assert f"| {check_id} | fail |" in "\n".join(lines)
