@@ -29,12 +29,14 @@ from .errors import (
     NotPolynomialError,
     QmatError,
 )
+from .limits import check_terms
 from .matrixalg import MatrixAlgebraElement, qdet, relation_report
 from .rational import RF_ONE, RationalFunction
 from .sparse import add_into, require_operand
 from .torus import TorusElement, delta_exponents, is_central_monomial
 from .tower import (
     StepGeneratorTable,
+    _det_multiple,
     embed,
     rebase_to_matrix_algebra,
     solve_monomial_combination,
@@ -469,7 +471,7 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
         mu = [_det_poly_of_central(dec.z[g]) for g in _readers(n)]
         inner = _solve_inner_part(table, dec.x)
 
-        residual = d - ad(inner) - _weighted_basis_sum(ctx, mu)
+        residual = d - ad(inner) - _weighted_basis_sum(table, mu)
         if not residual.is_zero():
             raise ConditionViolatedError(
                 "reconstruction residual is nonzero"
@@ -478,25 +480,22 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
 
 
 def _weighted_basis_sum(
-    ctx: AlgebraContext, mu: list[DetPolynomial]
+    table: StepGeneratorTable, mu: list[DetPolynomial]
 ) -> DerivationSpec:
-    """sum_j mu_j(det_q) * D_j, one product per generator.
+    """sum_j mu_j(det_q) * D_j from the table's store of det_q multiples.
 
-    mu_j is the weight of D_j at its reader, so the image of Y(i,a) is
-    (mu at (i,1) + mu at (1,a) - mu at (1,1))(det_q) * Y(i,a); the powers
-    of det_q are built once.
+    mu_j is the weight of D_j at its reader, so Y(i,a) maps to the sum of
+    w_k * det_q^k * Y(i,a), w = mu at (i,1) + mu at (1,a) - mu at (1,1).
+    det_q^k * Y(i,a) = det_q * (det_q^(k-1) * Y(i,a)) sums entries det_q * Y^h
+    of the store the det_q division fills (``tower._det_multiple``): plain
+    Mq products, so the residual of ``express_hh1`` stays an Mq certificate.
     """
+    ctx = table.ctx
     n = ctx.n
     if len(mu) != 2 * n - 1:
         raise IndexOutOfRangeError(f"{len(mu)} weights, not {2 * n - 1}")
     if any(k < 0 for m in mu for k in m):
         raise NotPolynomialError("negative determinant power in the algebra")
-    powers = [MatrixAlgebraElement.one(ctx)]
-    top = max((k for m in mu for k in m), default=0)
-    if top:
-        det = qdet(ctx)
-        for _ in range(top):
-            powers.append(powers[-1] * det)
     at = dict(zip(_readers(n), mu))
     images = {}
     for gen in ctx.generators:
@@ -504,12 +503,17 @@ def _weighted_basis_sum(
         for s, cell in _signed_readers(*gen):
             for k, c in at[cell].items():
                 add_into(weight, k, c if s > 0 else -c)
-        if weight:
-            factor = MatrixAlgebraElement(ctx)
-            for k, c in weight.items():
-                for e, ce in powers[k].terms.items():
-                    add_into(factor.terms, e, ce * c)
-            images[gen] = factor * MatrixAlgebraElement.generator(ctx, gen)
+        power, image = MatrixAlgebraElement.generator(ctx, gen).terms, {}
+        for k in range(max(weight, default=-1) + 1):
+            if k:
+                power, previous = {}, power
+                for h, c in previous.items():
+                    for e, ce in _det_multiple(table, h).terms.items():
+                        add_into(power, e, ce * c)
+                    check_terms(len(power), "det_q power multiple")
+            for e, ce in power.items() if k in weight else ():
+                add_into(image, e, ce * weight[k])
+        images[gen] = MatrixAlgebraElement(ctx, image)
     return DerivationSpec(ctx, "Mq", images)
 
 

@@ -32,8 +32,9 @@ i_k -> a_k, of the product of the paths in row order.  ``embed`` takes
 this sum for every input that is a scalar times a minor of size >= 2.
 Every other input is divided by the central det_q first, whose image is
 that sum too, and the remainder is summed from the images of its
-monomials, cached in the table.
-"""
+monomials, cached in the table.  Each det_q * Y^g of the division is a
+plain Mq product, kept in the table's one store of det_q multiples
+(``_det_multiple``), which the HH^1 residual reads too."""
 
 from __future__ import annotations
 
@@ -279,13 +280,12 @@ def _divide_by_det(
     diagonal, with coefficient 1, and straightening only lowers the weight,
     so det_q * Y^g is kappa * Y^(g + diagonal) plus lighter terms, kappa a
     power of q.  Subtracting such a product removes the heaviest term that
-    the diagonal divides and adds only lighter ones.  The table keeps
-    det_q (at g = 0) and each product it builds.
+    the diagonal divides and adds only lighter ones.  det_q * Y^g comes
+    from ``_det_multiple``, the store that the HH^1 residual reads too.
     """
     ctx = table.ctx
     weights = [i * a for i, a in ctx.generators]
     diagonal = [int(i == a) for i, a in ctx.generators]
-    products, zero = table._det_multiples, zero_exponents(ctx)
     y: dict[ExponentVector, RationalFunction] = {}
     rest = dict(x.terms)
     while True:
@@ -294,15 +294,23 @@ def _divide_by_det(
             return MatrixAlgebraElement(ctx, y), MatrixAlgebraElement(ctx, rest)
         h = max(divisible, key=lambda h: sum(map(mul, weights, h)))
         g = tuple(map(sub, h, diagonal))
-        if g not in products:
-            if zero not in products:
-                products[zero] = qdet(ctx)
-            products[g] = products[zero] * MatrixAlgebraElement.monomial(ctx, g)
-        y[g] = coeff = rest.pop(h) / products[g].terms[h]
-        for e, c in products[g].terms.items():
+        product = _det_multiple(table, g)
+        y[g] = coeff = rest.pop(h) / product.terms[h]
+        for e, c in product.terms.items():
             if e != h:
                 add_into(rest, e, -coeff * c)
         check_terms(len(rest), "det_q division remainder")
+
+
+def _det_multiple(table: StepGeneratorTable, g: ExponentVector) -> MatrixAlgebraElement:
+    """det_q * Y^g from the table's one store of det_q multiples, kept from
+    the plain Mq product that first forms it; det_q itself is kept at g = 0."""
+    products, zero = table._det_multiples, zero_exponents(table.ctx)
+    if zero not in products:
+        products[zero] = qdet(table.ctx)
+    if g not in products:
+        products[g] = products[zero] * MatrixAlgebraElement.monomial(table.ctx, g)
+    return products[g]
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +367,14 @@ def verify_step_factorizations(table: StepGeneratorTable) -> list[dict]:
 
 
 def verify_forward_recursion(table: StepGeneratorTable) -> bool:
-    """Apply the downward recursion to each built level and compare with the
-    stored previous level.
+    return _recursion_mismatch(table) is None
 
-    The recursion runs in torus products and a pivot inverse, which
-    ``build_table`` never forms, so this certifies its path joins at every
-    level."""
+
+def _recursion_mismatch(table: StepGeneratorTable) -> str | None:
+    """The first stored level and entry that the downward recursion, applied
+    to the level above, does not recover, or None.  The recursion runs in
+    torus products and a pivot inverse, which ``build_table`` never forms,
+    so this certifies its path joins at every level."""
     ctx = table.ctx
     for idx, r in enumerate(ctx.E[:-1]):
         j, b = r
@@ -376,8 +386,8 @@ def verify_forward_recursion(table: StepGeneratorTable) -> bool:
             else:
                 expected = nxt[(i, a)]
             if (entry - expected):
-                return False
-    return True
+                return f"level {r} differs from the recursion at entry {(i, a)}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from basis_sum_oracle import straightened_basis_sum
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
-    _weighted_basis_sum,
     ad,
     annihilates_qdet,
     basis_derivation,
@@ -216,7 +216,7 @@ def test_criterion_07_hh1_coordinates():
             for _ in range(100):
                 x = _random_matrix_element(ctx, rng, max_degree=2)
                 mu_in = [_random_mu_poly(ctx, rng, max_degree=1) for _ in range(2 * n - 1)]
-                d = ad(x) + _weighted_basis_sum(ctx, mu_in)
+                d = ad(x) + straightened_basis_sum(ctx, mu_in)
                 # express_hh1 verifies the zero residual internally
                 coords = express_hh1(table, d)
                 assert coords.mu == mu_in

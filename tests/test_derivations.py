@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from basis_sum_oracle import straightened_basis_sum
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
     _det_poly_of_central,
     _lift,
-    _weighted_basis_sum,
     ad,
     annihilates_qdet,
     basis_derivation,
@@ -294,7 +294,7 @@ def _mu_weighted_spec(ctx, rng):
         }
         for _ in range(2 * ctx.n - 1)
     ]
-    return ad(_random_element(ctx, rng)) + _weighted_basis_sum(ctx, mu)
+    return ad(_random_element(ctx, rng)) + straightened_basis_sum(ctx, mu)
 
 
 LIFT_TABLES = {n: build_table(build_context(n)) for n in (2, 3, 4)}
@@ -437,7 +437,7 @@ class TestExpress:
 
     def test_det_weighted_basis(self, t2):
         ctx = t2.ctx
-        d = _weighted_basis_sum(ctx, [{1: RF_ONE}, {}, {}])
+        d = straightened_basis_sum(ctx, [{1: RF_ONE}, {}, {}])
         coords = express_hh1(t2, d)
         assert coords.mu[0] == {1: RF_ONE}
         assert coords.mu[1] == {} and coords.mu[2] == {}
@@ -451,7 +451,7 @@ class TestExpress:
         ctx = t3.ctx
         x = Y(ctx, 1, 2) * Y(ctx, 2, 1)
         mu = [{0: RationalFunction.q_power(2)} if k == 4 else {} for k in range(1, 6)]
-        d = ad(x) + _weighted_basis_sum(ctx, mu)
+        d = ad(x) + straightened_basis_sum(ctx, mu)
         coords = express_hh1(t3, d)
         assert coords.mu[3] == {0: RationalFunction.q_power(2)}
         assert sum(len(m) for k, m in enumerate(coords.mu) if k != 3) == 0

@@ -14,10 +14,10 @@ import pytest
 
 import qmat.derivations as derivations
 import qmat.suite as suite
+from basis_sum_oracle import straightened_basis_sum
 from qmat.cli import main
 from qmat.context import build_context
 from qmat.derivations import (
-    _weighted_basis_sum,
     ad,
     basis_derivation,
     express_hh1,
@@ -53,7 +53,7 @@ def _suite_style_spec(ctx, seed):
         }
         for _ in range(2 * ctx.n - 1)
     ]
-    return ad(x) + _weighted_basis_sum(ctx, mu)
+    return ad(x) + straightened_basis_sum(ctx, mu)
 
 
 SPECS = [
@@ -107,7 +107,7 @@ class TestResidualCertificate:
     def test_true_inner_part_passes(self, n, make):
         d = make(build_context(n))
         coords = express_hh1(TABLES[n], d)
-        assert (d - ad(coords.inner) - _weighted_basis_sum(d.ctx, coords.mu)).is_zero()
+        assert (d - ad(coords.inner) - straightened_basis_sum(d.ctx, coords.mu)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,11 @@ class TestSuiteOnABrokenTower:
         failed = {c["id"]: c["witness"] for c in report.checks if c["status"] == "fail"}
         assert set(failed) == BROKEN_CHECKS
         assert all(w for w in failed.values())
+        # the recursion from the broken top level misses entry (1,1) of the
+        # level below it
+        assert failed["tower-03-recursion"] == (
+            "level (2, 2) differs from the recursion at entry (1, 1)"
+        )
         assert failed["tower-04-minor-monomials"] == (
             "antidiagonal minor 2 is not the expected monomial"
         )

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from basis_sum_oracle import straightened_basis_sum
 from qmat.context import build_context
-from qmat.derivations import _weighted_basis_sum, ad, express_hh1
+from qmat.derivations import ad, express_hh1
 from qmat.serialize import det_poly_to_json, element_to_json, hh1_to_json
 from qmat.suite import _random_matrix_element, _random_mu_poly
 from qmat.tower import build_table
@@ -44,7 +45,7 @@ def _table(n):
 
 
 def _record(n, x, mu) -> dict:
-    d = ad(x) + _weighted_basis_sum(x.ctx, mu)
+    d = ad(x) + straightened_basis_sum(x.ctx, mu)
     return {
         "x": element_to_json(x),
         "mu": [det_poly_to_json(m) for m in mu],

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmat.rational as rational
+from basis_sum_oracle import straightened_basis_sum
 from qmat.context import build_context
-from qmat.derivations import _weighted_basis_sum, ad, express_hh1
+from qmat.derivations import ad, express_hh1
 from qmat.matrixalg import MatrixAlgebraElement, qminor
 from qmat.rational import (
     RF_ONE,
@@ -514,7 +515,7 @@ class TestNoGcdOnLaurentPath:
         ]
         ctx = build_context(3)
         table = build_table(ctx)
-        coords = express_hh1(table, _weighted_basis_sum(ctx, mu))
+        coords = express_hh1(table, straightened_basis_sum(ctx, mu))
         assert coords.mu == mu and coords.inner.is_zero()
         assert pgcd_calls == []
 
@@ -533,7 +534,7 @@ class TestNoGcdOnLaurentPath:
         )
         mu = [{0: two * Q(-1) - Q(2), 1: Q(1)}, {}, {1: two - Q(3)}, {}, {0: -Q(-2)}]
         table = build_table(ctx)
-        coords = express_hh1(table, ad(x) + _weighted_basis_sum(ctx, mu))
+        coords = express_hh1(table, ad(x) + straightened_basis_sum(ctx, mu))
         assert coords.mu == mu and coords.inner == x
         assert pgcd_calls == []
 

@@ -21,7 +21,7 @@ from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.serialize import hh1_to_json
 from qmat.torus import TorusElement
-from qmat.tower import build_table
+from qmat.tower import StepGeneratorTable, build_table
 
 
 class TestCommandLine:
@@ -47,7 +47,7 @@ class TestDerivationArguments:
     def test_weighted_basis_sum_rejects_a_negative_power(self):
         mu = [{}, {-1: RF_ONE}, {}]
         with pytest.raises(NotPolynomialError):
-            _weighted_basis_sum(build_context(2), mu)
+            _weighted_basis_sum(StepGeneratorTable(build_context(2)), mu)
 
     def test_gl_express_rejects_a_negative_clearing_power(self):
         ctx = build_context(2)

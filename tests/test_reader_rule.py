@@ -16,6 +16,7 @@ from qmat.derivations import (
 from qmat.errors import IndexOutOfRangeError
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.torus import TorusElement, delta_exponents
+from qmat.tower import StepGeneratorTable
 
 
 def _branch_basis_sign(n: int, j: int, i: int, a: int) -> int:
@@ -135,4 +136,4 @@ def test_weighted_basis_sum_refuses_a_weight_list_of_another_length(count):
     ctx = build_context(2)
     mu = [{} for _ in range(count - 1)] + [{0: RF_ONE}] if count else []
     with pytest.raises(IndexOutOfRangeError, match=f"{count} weights, not 3"):
-        _weighted_basis_sum(ctx, mu)
+        _weighted_basis_sum(StepGeneratorTable(ctx), mu)
