@@ -20,10 +20,12 @@ come before L in flat order.  A path of (j, b) other than T(j, b) would
 need an inner corner below row j, so the pivot is the single monomial
 T(j, b) and the correction joins paths: a path of (i, b), which reaches
 column b above row j, turns at the new inner corner (j, b) into a path of
-(j, a).  ``build_table`` builds every level by these joins and multiplies
-nothing; ``verify_forward_recursion`` (suite check tower-03) certifies
-each level against the recursion above in torus products.  The lift
-(``derivations._lift``) unwinds the recursion with real products.
+(j, a).  A table builds each entry on its first read with no product:
+``entries`` joins the levels below the top, ``top_entry`` sums the paths
+of one top entry.  ``verify_forward_recursion`` (suite check tower-03)
+certifies each level, the top too, against the recursion above in torus
+products.  The lift (``derivations._lift``) unwinds the recursion with
+real products.
 
 By Casteels (Quantum matrices by paths, Algebra & Number Theory 8,
 2014) the image of the quantum minor on rows i_1 < ... < i_t and columns
@@ -38,6 +40,7 @@ plain Mq product, kept in the table's one store of det_q multiples
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import add, mul, sub
 
@@ -58,17 +61,58 @@ from .torus import TorusElement, commutation_exponent
 
 
 class StepGeneratorTable:
-    """Images of every intermediate generator at every tower step."""
+    """Images of every intermediate generator at every tower step, each
+    built on its first read (``entries``, ``top_entry``)."""
 
     def __init__(self, ctx: AlgebraContext):
         self.ctx = ctx
-        self.entries: dict[StepIndex, dict[GeneratorIndex, TorusElement]] = {}
+        self._top: dict[GeneratorIndex, TorusElement] = {}
         self._embed_cache: dict[ExponentVector, TorusElement] = {}
         self._det_multiples: dict[ExponentVector, MatrixAlgebraElement] = {}
         self._det_image: TorusElement | None = None
 
+    @cached_property
+    def entries(self) -> dict[StepIndex, dict[GeneratorIndex, TorusElement]]:
+        """Every level of the tower, joined below the top: pivot (j, b),
+        j, b > 1, joins each term x of entry (i, b), i < j, which ends at
+        an outer corner (r, b), r < j, to each term y of entry (j, a),
+        a < b, at the new inner corner (j, b).  The joined term of (i, a)
+        is q^m * T^(x + y - e(j,b)) with m = m_x + m_y + 1 inner corners:
+        cur(i,b) * T(j,b)^{-1} * cur(j,a) without a torus product.  The
+        top level is ``top_entries``."""
+        ctx = self.ctx
+        powers = [RationalFunction.q_power(m) for m in range(ctx.n)]
+        cur = {gen: TorusElement.generator(ctx, gen) for gen in ctx.generators}
+        levels = {ctx.E[0]: cur}
+        for idx, (j, b) in enumerate(ctx.E[:-2]):
+            cur = dict(cur)
+            if j > 1 and b > 1:
+                pivot = unit_exponent(ctx, (j, b))
+                for a in range(1, b):
+                    right = [tuple(map(sub, y, pivot)) for y in cur[(j, a)].terms]
+                    for i in range(1, j):
+                        entry = TorusElement(ctx)
+                        terms = entry.terms = dict(cur[(i, a)].terms)
+                        for x in cur[(i, b)].terms:
+                            for y in right:
+                                e = tuple(map(add, x, y))
+                                terms[e] = powers[e.count(-1)]
+                        check_terms(len(terms), "tower table")
+                        cur[(i, a)] = entry
+            levels[ctx.E[idx + 1]] = cur
+        levels[ctx.top_step()] = self.top_entries()
+        return levels
+
+    def top_entry(self, gen: GeneratorIndex) -> TorusElement:
+        entry = self._top.get(gen)
+        if entry is None:
+            entry = self._top[gen] = _top_entry(self.ctx, *gen)
+        return entry
+
     def top_entries(self) -> dict[GeneratorIndex, TorusElement]:
-        return self.entries[self.ctx.top_step()]
+        for gen in self.ctx.generators:
+            self.top_entry(gen)
+        return self._top
 
     def step_entries(self, step: StepIndex) -> dict[GeneratorIndex, TorusElement]:
         entries = self.entries.get(step)
@@ -78,38 +122,37 @@ class StepGeneratorTable:
 
 
 def build_table(ctx: AlgebraContext) -> StepGeneratorTable:
-    """Every level of the tower, each entry a sum of Cauchon paths.
+    """A fresh table of ctx; it builds each entry on its first read."""
+    return StepGeneratorTable(ctx)
 
-    Ascending with pivot (j, b), j, b > 1, the entry (i, a), i < j and
-    a < b, gains one term per pair of a term x of entry (i, b) and a term
-    y of entry (j, a): x ends at an outer corner (r, b) with r < j, (j, b)
-    becomes an inner corner and y continues the path from row j.  The
-    joined term is q^m * T^(x + y - e(j,b)), where m = m_x + m_y + 1 counts
-    the inner corners, which are its -1 exponents.  This is the correction
-    cur(i,b) * T(j,b)^{-1} * cur(j,a) of the module docstring without a
-    torus product; ``verify_forward_recursion`` checks it with products.
-    """
-    table = StepGeneratorTable(ctx)
-    powers = [RationalFunction.q_power(m) for m in range(ctx.n)]
-    cur = {gen: TorusElement.generator(ctx, gen) for gen in ctx.generators}
-    table.entries[ctx.E[0]] = cur
-    for idx, (j, b) in enumerate(ctx.E[:-1]):
-        cur = dict(cur)
-        if j > 1 and b > 1:
-            pivot = unit_exponent(ctx, (j, b))
-            for a in range(1, b):
-                right = [tuple(map(sub, y, pivot)) for y in cur[(j, a)].terms]
-                for i in range(1, j):
-                    entry = TorusElement(ctx)
-                    terms = entry.terms = dict(cur[(i, a)].terms)
-                    for x in cur[(i, b)].terms:
-                        for y in right:
-                            e = tuple(map(add, x, y))
-                            terms[e] = powers[e.count(-1)]
-                    check_terms(len(terms), "tower table")
-                    cur[(i, a)] = entry
-        table.entries[ctx.E[idx + 1]] = cur
-    return table
+
+def _top_entry(ctx: AlgebraContext, i: int, a: int) -> TorusElement:
+    """q^m * T^exp summed over the Cauchon paths of (i, a) (module
+    docstring), their corners chosen by backtracking over one exponent
+    list: from its last outer corner (r, c), c > a, a path turns at an
+    inner corner (r2, c), r2 > r, to an outer corner (r2, c2), a <= c2 < c."""
+    n = ctx.n
+    powers = [RationalFunction.q_power(m) for m in range(n)]
+    entry, exp = TorusElement(ctx), [0] * (n * n)
+
+    def walk(r: int, c: int, m: int):  # 0-based last outer corner
+        if c == a - 1:
+            entry.terms[tuple(exp)] = powers[m]
+            check_terms(len(entry.terms), "tower table")
+            return
+        for r2 in range(r + 1, n):
+            exp[r2 * n + c] = -1
+            for c2 in range(a - 1, c):
+                exp[r2 * n + c2] = 1
+                walk(r2, c2, m + 1)
+                exp[r2 * n + c2] = 0
+            exp[r2 * n + c] = 0
+
+    for c0 in range(a - 1, n):
+        exp[(i - 1) * n + c0] = 1
+        walk(i - 1, c0, 0)
+        exp[(i - 1) * n + c0] = 0
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +232,11 @@ def _as_minor(ctx: AlgebraContext, x: MatrixAlgebraElement):
     return rows, cols, coeff
 
 
+@lru_cache(maxsize=None)
 def _path_cells(n: int, exp: ExponentVector) -> int:
     """Bitmask over flat positions of the cells of the path whose term has
-    exponents exp: its outer corners are the +1 entries, in row order."""
+    exponents exp: its outer corners are the +1 entries, in row order.
+    Cached per path, so the cache is bounded by the paths of the grid."""
     corners = [divmod(k, n) for k, e in enumerate(exp) if e > 0]
     r, c = corners[0][0], n - 1
     mask = 0
@@ -216,9 +261,11 @@ def _path_systems(table: StepGeneratorTable, rows, cols) -> TorusElement:
     multiplies each pick onto the left of the product.
     """
     ctx = table.ctx
-    top = table.top_entries()
     choices = [
-        [(_path_cells(ctx.n, exp), exp, c) for exp, c in top[gen].terms.items()]
+        [
+            (_path_cells(ctx.n, exp), exp, c)
+            for exp, c in table.top_entry(gen).terms.items()
+        ]
         for gen in zip(rows, cols)
     ]
     out: dict[ExponentVector, RationalFunction] = {}
@@ -373,8 +420,9 @@ def verify_forward_recursion(table: StepGeneratorTable) -> bool:
 def _recursion_mismatch(table: StepGeneratorTable) -> str | None:
     """The first stored level and entry that the downward recursion, applied
     to the level above, does not recover, or None.  The recursion runs in
-    torus products and a pivot inverse, which ``build_table`` never forms,
-    so this certifies its path joins at every level."""
+    torus products and a pivot inverse, which the table never forms, so
+    this certifies its path joins at every level and, at the last pivot,
+    its enumerated top level against the joined level below."""
     ctx = table.ctx
     for idx, r in enumerate(ctx.E[:-1]):
         j, b = r

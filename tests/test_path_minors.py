@@ -134,6 +134,32 @@ class TestAgainstProductPath:
         assert not table._embed_cache
 
 
+class TestLazyTable:
+    """A fresh table builds only the top entries that an embed reads, and
+    what it builds equals a table whose levels were all built first."""
+
+    def test_a_minor_reads_only_its_top_entries(self):
+        ctx = build_context(5)
+        table = build_table(ctx)
+        embed(table, qminor(ctx, (1, 3, 4), (2, 3, 5)))
+        assert "entries" not in table.__dict__
+        assert len(table._top) == 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_minor_on_a_fresh_table(self, n):
+        joined = build_table(build_context(n))
+        joined.entries
+        for m in minors(n, range(2, n + 1)):
+            assert embed(build_table(m.ctx), m) == embed(joined, m)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_qdet_on_a_fresh_table(self, n):
+        ctx = build_context(n)
+        joined = build_table(ctx)
+        joined.entries
+        assert embed(build_table(ctx), qdet(ctx)) == embed(joined, qdet(ctx))
+
+
 def _near_misses(ctx):
     m = qminor(ctx, (1, 2, 3), (1, 2, 4))
     first, second = list(m.terms)[:2]

@@ -75,10 +75,19 @@ def test_certificate_rejects_a_changed_middle_level(kind, monkeypatch):
 
 
 def test_table_build_respects_the_term_limit():
+    # the table builds its levels on their first read
     with restored_max_terms():
         set_max_terms(3)
         with pytest.raises(ResourceLimitError, match="tower table"):
-            build_table(build_context(3))
+            build_table(build_context(3)).entries
+
+
+def test_top_entry_respects_the_term_limit():
+    table = build_table(build_context(3))
+    with restored_max_terms():
+        set_max_terms(3)
+        with pytest.raises(ResourceLimitError, match="tower table"):
+            table.top_entry((1, 1))
 
 
 @pytest.mark.parametrize("n", range(2, 6))
