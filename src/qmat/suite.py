@@ -276,19 +276,15 @@ def run_suite(n: int, canonical: bool = False) -> VerificationReport:
     )
 
     def pattern_check():
-        # enumerate central monomials through their lattice coordinates; the
-        # U(2,2) pattern is natural on the readers, the first row and column
-        readers = [ctx.flat(*cell) for cell in _readers(n)]
-        bound = 3
-        for k in _iproduct(range(-bound, bound + 1), repeat=n):
-            exp = [0] * (n * n)
-            for i in range(1, n + 1):
-                if k[i - 1]:
-                    for pos, e in enumerate(delta_exponents(ctx, i)):
-                        exp[pos] += k[i - 1] * e
-            exp = tuple(exp)
-            if min(exp[r] for r in readers) >= 0 and (any(k[:-1]) or k[-1] < 0):
-                return f"pattern-admissible central {exp} is not a determinant power"
+        # on the readers, the first row and column, Delta_1..Delta_n are I_n
+        # over [-I_(n-1) | 0]: sum k_c Delta_c is natural there exactly when
+        # k_1 = ... = k_(n-1) = 0 and k_n >= 0, for every k
+        deltas = [delta_exponents(ctx, c) for c in range(1, n + 1)]
+        for r, cell in enumerate(_readers(n), 1):
+            for c, delta in enumerate(deltas, 1):
+                e = delta[ctx.flat(*cell)]
+                if e != (c == r) - (c == r - n):
+                    return f"Delta_{c} has exponent {e} at reader {cell}"
         return True
 
     report.add(

@@ -18,8 +18,8 @@ never collide or cancel and are built in one pass; the translates are
 then summed.  A one-term factor, as in the lift's pivot inverse,
 ``embed``'s det_q image and ``embed_monomial_at_step``'s start, makes the
 product a single translation.  The tower table forms no product: it
-joins and enumerates Cauchon paths, and ``verify_forward_recursion``
-certifies them with this product.
+cuts every level from the Cauchon paths of its top entries, and
+``verify_forward_recursion`` certifies them with this product.
 """
 
 from __future__ import annotations

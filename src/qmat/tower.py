@@ -16,16 +16,15 @@ graph (Cauchon, J. Algebra 260, 2003): with outer corners (i, c_0),
 term is q^m * prod T(outer) / prod T(inner), and the path runs west along
 row i from column n to c_0, down to r_1, west to c_1, ..., and down column
 a to row n.  At step L the entry sums the paths whose inner corners all
-come before L in flat order.  A path of (j, b) other than T(j, b) would
-need an inner corner below row j, so the pivot is the single monomial
-T(j, b) and the correction joins paths: a path of (i, b), which reaches
-column b above row j, turns at the new inner corner (j, b) into a path of
-(j, a).  A table builds each entry on its first read with no product:
-``entries`` joins the levels below the top, ``top_entry`` sums the paths
-of one top entry.  ``verify_forward_recursion`` (suite check tower-03)
-certifies each level, the top too, against the recursion above in torus
-products.  The lift (``derivations._lift``) unwinds the recursion with
-real products.
+come before L in flat order, so every level is a cut of the top level.
+A path of (j, b) other than T(j, b) would need an inner corner below row
+j, so the pivot is the single monomial T(j, b).  A table builds each
+entry on its first read with no product: ``top_entry`` sums the paths of
+one top entry, and ``entries`` cuts every level from the top entries.
+``verify_forward_recursion`` (suite check tower-03) checks the lowest
+level against the torus generators and certifies each level above it
+against the recursion in torus products.  The lift
+(``derivations._lift``) unwinds the recursion with real products.
 
 By Casteels (Quantum matrices by paths, Algebra & Number Theory 8,
 2014) the image of the quantum minor on rows i_1 < ... < i_t and columns
@@ -54,7 +53,6 @@ from .sparse import (
     add_into,
     require_length,
     require_operand,
-    unit_exponent,
     zero_exponents,
 )
 from .torus import TorusElement, commutation_exponent
@@ -73,34 +71,22 @@ class StepGeneratorTable:
 
     @cached_property
     def entries(self) -> dict[StepIndex, dict[GeneratorIndex, TorusElement]]:
-        """Every level of the tower, joined below the top: pivot (j, b),
-        j, b > 1, joins each term x of entry (i, b), i < j, which ends at
-        an outer corner (r, b), r < j, to each term y of entry (j, a),
-        a < b, at the new inner corner (j, b).  The joined term of (i, a)
-        is q^m * T^(x + y - e(j,b)) with m = m_x + m_y + 1 inner corners:
-        cur(i,b) * T(j,b)^{-1} * cur(j,a) without a torus product.  The
-        top level is ``top_entries``."""
-        ctx = self.ctx
-        powers = [RationalFunction.q_power(m) for m in range(ctx.n)]
-        cur = {gen: TorusElement.generator(ctx, gen) for gen in ctx.generators}
-        levels = {ctx.E[0]: cur}
-        for idx, (j, b) in enumerate(ctx.E[:-2]):
-            cur = dict(cur)
-            if j > 1 and b > 1:
-                pivot = unit_exponent(ctx, (j, b))
-                for a in range(1, b):
-                    right = [tuple(map(sub, y, pivot)) for y in cur[(j, a)].terms]
-                    for i in range(1, j):
-                        entry = TorusElement(ctx)
-                        terms = entry.terms = dict(cur[(i, a)].terms)
-                        for x in cur[(i, b)].terms:
-                            for y in right:
-                                e = tuple(map(add, x, y))
-                                terms[e] = powers[e.count(-1)]
-                        check_terms(len(terms), "tower table")
-                        cur[(i, a)] = entry
-            levels[ctx.E[idx + 1]] = cur
-        levels[ctx.top_step()] = self.top_entries()
+        """Every level of the tower, cut from ``top_entries``: a term
+        q^m * T^e of top entry (i, a) lies in level (j, b) exactly when its
+        last inner corner, the largest flat position of a -1 in e (-1 if
+        none), comes before (j, b); the top step keeps every term."""
+        ctx, top = self.ctx, self.top_entries()
+        last = {
+            e: max((k for k, x in enumerate(e) if x < 0), default=-1)
+            for entry in top.values() for e in entry.terms
+        }
+        levels = {}
+        for j, b in ctx.E:
+            cut = (j - 1) * ctx.n + b - 1
+            level = levels[(j, b)] = {}
+            for gen in ctx.generators:
+                kept = {e: c for e, c in top[gen].terms.items() if last[e] < cut}
+                level[gen] = TorusElement(ctx, kept)
         return levels
 
     def top_entry(self, gen: GeneratorIndex) -> TorusElement:
@@ -418,12 +404,15 @@ def verify_forward_recursion(table: StepGeneratorTable) -> bool:
 
 
 def _recursion_mismatch(table: StepGeneratorTable) -> str | None:
-    """The first stored level and entry that the downward recursion, applied
-    to the level above, does not recover, or None.  The recursion runs in
-    torus products and a pivot inverse, which the table never forms, so
-    this certifies its path joins at every level and, at the last pivot,
-    its enumerated top level against the joined level below."""
+    """The first level and entry, from the lowest, that is not the torus
+    generator there or that the downward recursion in torus products does
+    not recover from the level above; or None.  Every level is cut from the
+    top, so the lowest level anchors the induction of the recursion."""
     ctx = table.ctx
+    bottom = table.entries[ctx.E[0]]
+    for gen in ctx.generators:
+        if bottom[gen] != TorusElement.generator(ctx, gen):
+            return f"level {ctx.E[0]} differs from the torus generators at entry {gen}"
     for idx, r in enumerate(ctx.E[:-1]):
         j, b = r
         cur, nxt = table.entries[r], table.entries[ctx.E[idx + 1]]

@@ -123,22 +123,27 @@ BROKEN_CHECKS = {
 }
 
 
-@pytest.fixture
-def broken_tower(monkeypatch):
-    """The suite's table has the largest-exponent coefficient of top entry
-    (1,1) multiplied by q."""
+def _break_top_entry(monkeypatch, pick):
+    """The suite's table has the coefficient of the term pick(terms) of top
+    entry (1,1) multiplied by q."""
     build = suite.build_table
 
     def broken(ctx):
         table = build(ctx)
         top = table.top_entries()
         terms = dict(top[(1, 1)].terms)
-        exp = max(terms)
+        exp = pick(terms)
         terms[exp] = terms[exp] * RationalFunction.q_power(1)
         top[(1, 1)] = TorusElement(ctx, terms)
         return table
 
     monkeypatch.setattr(suite, "build_table", broken)
+
+
+@pytest.fixture
+def broken_tower(monkeypatch):
+    """The heaviest term of top entry (1,1), T11, off by a factor q."""
+    _break_top_entry(monkeypatch, max)
 
 
 class TestSuiteOnABrokenTower:
@@ -147,10 +152,10 @@ class TestSuiteOnABrokenTower:
         failed = {c["id"]: c["witness"] for c in report.checks if c["status"] == "fail"}
         assert set(failed) == BROKEN_CHECKS
         assert all(w for w in failed.values())
-        # the recursion from the broken top level misses entry (1,1) of the
-        # level below it
+        # T11 lies in every level, so the lowest one is no longer the
+        # torus generators
         assert failed["tower-03-recursion"] == (
-            "level (2, 2) differs from the recursion at entry (1, 1)"
+            "level (1, 2) differs from the torus generators at entry (1, 1)"
         )
         assert failed["tower-04-minor-monomials"] == (
             "antidiagonal minor 2 is not the expected monomial"
@@ -158,6 +163,17 @@ class TestSuiteOnABrokenTower:
         # a crash inside a check is recorded as a failure naming the error
         assert failed["hh1-02-inner"] == f"ConditionViolatedError: {RESIDUAL}"
         assert not report.all_pass()
+
+    def test_a_lighter_broken_term_fails_the_recursion(self, monkeypatch):
+        # q T12 T22^-1 T21 has its inner corner at the last pivot (2,2), so
+        # it lies only in the top level, and the recursion from the top
+        # misses entry (1,1) of the level below it
+        _break_top_entry(monkeypatch, min)
+        report = suite.run_suite(2, canonical=True)
+        failed = {c["id"]: c["witness"] for c in report.checks if c["status"] == "fail"}
+        assert failed["tower-03-recursion"] == (
+            "level (2, 2) differs from the recursion at entry (1, 1)"
+        )
 
     def test_the_report_still_validates(self, broken_tower):
         data = suite.run_suite(2, canonical=True).to_json()

@@ -4,6 +4,7 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
+import qmat.suite as suite
 from qmat.errors import ResourceLimitError
 from qmat.suite import run_suite
 
@@ -44,3 +45,21 @@ class TestSuite:
         ids = [c["id"] for c in data["checks"]]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
+
+    def test_pattern_check_rejects_a_changed_reader_exponent(self, monkeypatch):
+        # Delta_3 = det_q has exponent 1 at the reader (1,1); flipping it
+        # breaks the reader pattern that proves centre-03
+        delta_exponents = suite.delta_exponents
+
+        def flipped(ctx, i):
+            exp = list(delta_exponents(ctx, i))
+            if i == ctx.n:
+                exp[ctx.flat(1, 1)] = -exp[ctx.flat(1, 1)]
+            return tuple(exp)
+
+        monkeypatch.setattr(suite, "delta_exponents", flipped)
+        checks = {c["id"]: c for c in run_suite(3, canonical=True).checks}
+        assert checks["centre-03-pattern"]["status"] == "fail"
+        assert checks["centre-03-pattern"]["witness"] == (
+            "Delta_3 has exponent -1 at reader (1, 1)"
+        )

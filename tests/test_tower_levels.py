@@ -1,10 +1,12 @@
 """Every tower level against the torus-product recursion, and the checks
-that certify the path-join rule of ``build_table``.
+that certify the path cuts of ``build_table``.
 
 The oracle (tests/tower_recursion_oracle.py) builds each level by torus
-products and a pivot inverse; ``build_table`` joins Cauchon paths and
-multiplies nothing.  ``verify_forward_recursion`` (suite check tower-03)
-multiplies real torus elements, so a wrong term at any level must fail it.
+products and a pivot inverse; ``build_table`` cuts every level from the
+Cauchon paths of the top entries and multiplies nothing.
+``verify_forward_recursion`` (suite check tower-03) checks the lowest
+level against the torus generators and multiplies real torus elements
+above it, so a wrong term at any level must fail it.
 """
 
 import hashlib
@@ -48,8 +50,8 @@ def test_every_level_matches_the_recursion(n):
 
 def _corrupted(kind):
     """An n = 4 table with one term of one entry of a middle level changed:
-    its coefficient q^m made q^(m+1), or the term dropped.  Levels share
-    unchanged entries, so the entry is replaced in that level only."""
+    its coefficient q^m made q^(m+1), or the term dropped.  The entry is
+    replaced by a changed copy in that level only."""
     table = build_table(build_context(4))
     step = table.ctx.E[len(table.ctx.E) // 2]
     level = table.entries[step] = dict(table.entries[step])
@@ -72,6 +74,32 @@ def test_certificate_rejects_a_changed_middle_level(kind, monkeypatch):
     monkeypatch.setattr(suite, "build_table", lambda ctx: table)
     checks = {c["id"]: c for c in suite.run_suite(4, canonical=True).checks}
     assert checks["tower-03-recursion"]["status"] == "fail"
+
+
+def test_certificate_rejects_a_changed_lowest_level(monkeypatch):
+    # the lowest level anchors the recursion: it must be the torus generators
+    table = build_table(build_context(3))
+    bottom = table.entries[table.ctx.E[0]]
+    bottom[(2, 2)] = bottom[(2, 2)].scale(RationalFunction.q_power(1))
+    assert not verify_forward_recursion(table)
+    monkeypatch.setattr(suite, "build_table", lambda ctx: table)
+    checks = {c["id"]: c for c in suite.run_suite(3, canonical=True).checks}
+    assert checks["tower-03-recursion"]["witness"] == (
+        "level (1, 2) differs from the torus generators at entry (2, 2)"
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_levels_read_after_top_entries_match_the_recursion(n):
+    # top entries read first are kept, and the levels are cut from them
+    ctx = build_context(n)
+    table = build_table(ctx)
+    for gen in [(1, 1), (2, 1), (1, n)]:
+        table.top_entry(gen)
+    expected = recursion_levels(ctx)
+    assert list(table.entries) == list(expected)
+    for step, entries in expected.items():
+        assert table.entries[step] == entries, step
 
 
 def test_table_build_respects_the_term_limit():

@@ -1,7 +1,7 @@
 """Test-only oracle: the tower levels by the torus-product recursion.
 
-This is how ``qmat.tower.build_table`` built the table before it joined
-Cauchon paths: ascending step (j, b) sets
+This is how ``qmat.tower.build_table`` built the table before it read
+its levels off Cauchon paths: ascending step (j, b) sets
 
     next[(i, a)] = cur[(i, a)] + cur[(i, b)] * cur[(j, b)]^{-1} * cur[(j, a)]
 
