@@ -2,23 +2,30 @@
 
 Elements are finite sums of normal-ordered monomials in the generators
 Y(i,a) with natural-number exponents.  Multiplication straightens the
-concatenated word by repeatedly rewriting the leftmost out-of-order
-adjacent pair with the defining relations:
+concatenated word by swapping out-of-order adjacent pairs with the
+defining relations:
 
     Y(i,b) Y(i,a) = q^{-1} Y(i,a) Y(i,b)                       (a < b)
     Y(j,a) Y(i,a) = q^{-1} Y(i,a) Y(j,a)                       (i < j)
     Y(j,b) Y(i,a) = Y(i,a) Y(j,b)                              (i < j, a > b)
     Y(j,b) Y(i,a) = Y(i,a) Y(j,b) - (q - q^{-1}) Y(i,b) Y(j,a) (i < j, a < b)
 
-Each rewrite strictly decreases the number of inversions of the word, so
-the straightening terminates; associativity is exercised by the test suite
-and, more strongly, by the torus-embedding homomorphism check.
+``normalize_word`` takes the lexicographically largest pending word and
+insertion-sorts it in one sweep, summing the q-exponents of its swaps; a
+swap with a cross term pends the word with the cross pair in its place.
+That word is lexicographically smaller than the word it came from (its
+letter Y(i,b) precedes Y(j,b)), as is the sorted word, so every word is
+swept once, after all its summands have arrived, and the straightening
+terminates because the words of a given length are finitely many.
+Associativity is exercised by the test suite and, more strongly, by the
+torus-embedding homomorphism check.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations, starmap
 from math import factorial
+from operator import gt
 
 from .context import AlgebraContext, sweep_cells
 from .errors import IndexOutOfRangeError
@@ -46,23 +53,37 @@ def _exp_of(nn: int, word) -> ExponentVector:
 
 
 def normalize_word(ctx: AlgebraContext, word) -> dict[ExponentVector, RationalFunction]:
-    """Normal form of a generator word as {exponent vector: coefficient}."""
+    """Normal form of a generator word as {exponent vector: coefficient}:
+    one insertion sweep per pending word, the largest word first (module
+    docstring)."""
     nn = ctx.n * ctx.n
     relations = ctx.relations
     pending: dict[tuple[int, ...], RationalFunction] = {tuple(word): RF_ONE}
     done: dict[ExponentVector, RationalFunction] = {}
 
     while pending:
-        w, c = pending.popitem()
-        k = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
-        if k is None:
-            add_into(done, _exp_of(nn, w), c)
-            continue
-        u, v = w[k], w[k + 1]
-        e, cross = relations[u][v]
-        add_into(pending, w[:k] + (v, u) + w[k + 2 :], c.times_q_power(e))
-        if cross:
-            add_into(pending, w[:k] + cross + w[k + 2 :], c * _MINUS_QDIFF)
+        w = max(pending)
+        c = pending.pop(w)
+        a = list(w)
+        shift = 0
+        for j in range(1, len(a)):
+            v = a[j]
+            k = j
+            # the word is a[:k] + [v] + a[k + 1:] while v moves left
+            while k and a[k - 1] > v:
+                u = a[k - 1]
+                e, cross = relations[u][v]
+                if cross:
+                    add_into(
+                        pending,
+                        (*a[: k - 1], *cross, *a[k + 1 :]),
+                        c.times_q_power(shift) * _MINUS_QDIFF,
+                    )
+                shift += e
+                a[k] = u
+                k -= 1
+            a[k] = v
+        add_into(done, _exp_of(nn, a), c.times_q_power(shift))
         check_terms(len(pending) + len(done), "straightening")
     return done
 
@@ -123,12 +144,7 @@ class MatrixAlgebraElement(SparseElement):
 
 
 def _inversions(perm) -> int:
-    return sum(
-        1
-        for k in range(len(perm))
-        for l in range(k + 1, len(perm))
-        if perm[k] > perm[l]
-    )
+    return sum(starmap(gt, combinations(perm, 2)))
 
 
 def qminor(

@@ -11,8 +11,10 @@ Laurent polynomials (r = (1,)) are closed under +, - and * with no gcd
 and no zero padding, and multiplying by q^e adds e to v; a quotient of
 two of them that is exact in Z[q] is found by exact division.  Otherwise
 one rule, ``_cancel``, removes a common factor: nothing when the
-denominator is 1, the integer content when either side is a constant,
-the primitive-PRS gcd in Z[q] otherwise.  A product of reduced factors
+denominator is 1; the integer content when either side is a constant or
+``_coprime`` proves the gcd an integer from the values of both sides at
+one integer point beyond the roots (the evaluation idea of GCDHEU); the
+primitive-PRS gcd in Z[q] otherwise.  A product of reduced factors
 (a/r)(b/s) cancels only gcd(a, s) and gcd(b, r) before it multiplies
 (Henrici), so a one-term Laurent factor meets only an integer gcd, and
 no gcd of the full product ever runs.
@@ -123,14 +125,32 @@ def _pgcd(a, b):
 _P_ONE = (1,)
 
 
+def _coprime(p, r) -> bool:
+    """True when gcd(p, r) in Z[q] is proved to be an integer; False when
+    the test cannot decide.  Every root of r has modulus at most B = 1 +
+    ceil(max|r_i| / |lc r|) (Cauchy), so at t = B + 2^24 a common factor h
+    of positive degree has |h(t)| >= t - B, and h(t) divides both p(t) and
+    r(t) != 0: a gcd of the two values below t - B rules every such h out."""
+    bound = 1 + -(-max(map(abs, r)) // abs(r[-1]))
+    t = bound + (1 << 24)
+    pt = rt = 0
+    for c in reversed(p):
+        pt = pt * t + c
+    for c in reversed(r):
+        rt = rt * t + c
+    return _int_gcd(pt, rt) < t - bound
+
+
 def _cancel(p, r):
     """p / g and r / g for g = gcd(p, r) in Z[q] with g's leading
     coefficient positive, for trimmed nonzero p and r with nonzero constant
-    terms; r's leading sign is kept."""
+    terms; r's leading sign is kept.  g is 1 when r is 1, the integer
+    content of p and r when either side is a constant or ``_coprime``
+    proves it, and the primitive-PRS ``_pgcd`` otherwise."""
     if r == _P_ONE:
         return p, r
-    if len(p) == 1 or len(r) == 1:
-        # a gcd in Z[q] divides the constant side, so it is an integer
+    if len(p) == 1 or len(r) == 1 or _coprime(p, r):
+        # the gcd in Z[q] is an integer, so it is the content of p and r
         g = _int_gcd(*p, *r)
         if g != 1:
             p = tuple(c // g for c in p)

@@ -46,7 +46,7 @@ from operator import add, mul, sub
 from .context import AlgebraContext, GeneratorIndex, StepIndex, sweep_cells
 from .errors import IndexOutOfRangeError, NotAMonomialError, NotInSpanError
 from .limits import check_terms
-from .matrixalg import MatrixAlgebraElement, b_minor, qdet, qminor, relation_report
+from .matrixalg import MatrixAlgebraElement, _inversions, b_minor, qdet, relation_report
 from .rational import RF_ONE, RationalFunction
 from .sparse import (
     ExponentVector,
@@ -196,7 +196,11 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
 
 def _as_minor(ctx: AlgebraContext, x: MatrixAlgebraElement):
     """(rows, cols, c) with x = c * qminor(ctx, rows, cols) and at least
-    two rows, else None; the cheapest tests run first."""
+    two rows, else None; the cheapest tests run first.  Once x has t!
+    terms of degree t on the t rows and columns of its first term, a term
+    with one cell per row and per column is the term of a permutation,
+    so the t! of them are all the permutations; each coefficient is then
+    checked in place against c * (-q)^(inversions)."""
     terms = x.terms
     if not terms:
         return None
@@ -209,12 +213,31 @@ def _as_minor(ctx: AlgebraContext, x: MatrixAlgebraElement):
     cols = sorted({a for _, a in cells})
     if not len(cells) == len(rows) == len(cols) == t:
         return None
-    minor = qminor(ctx, rows, cols).terms
-    if minor.keys() != terms.keys():
-        return None
-    coeff = terms[first] / minor[first]
-    if any(terms[h] != coeff * m for h, m in minor.items()):
-        return None
+    n = ctx.n
+    starts = [(i - 1) * n for i in rows]
+    col_at = [None] * n
+    for k, a in enumerate(cols):
+        col_at[a - 1] = k
+    coeff = None
+    for exp, c in terms.items():
+        # exponents are natural numbers summing to t, so a 1 in each of
+        # the t rows leaves every other exponent 0
+        if sum(exp) != t:
+            return None
+        try:
+            perm = [col_at[exp.index(1, s, s + n) - s] for s in starts]
+        except ValueError:
+            return None
+        if None in perm or len(set(perm)) != t:
+            return None
+        l = _inversions(perm)
+        c = c.times_q_power(-l)
+        if l % 2:
+            c = -c
+        if coeff is None:
+            coeff = c
+        elif c != coeff:
+            return None
     return rows, cols, coeff
 
 

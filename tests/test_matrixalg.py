@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmat.matrixalg as matrixalg
 from qmat.context import build_context
 from qmat.errors import IndexOutOfRangeError, ResourceLimitError
 from qmat.limits import get_max_terms, set_max_terms
@@ -17,6 +18,7 @@ from qmat.matrixalg import (
     sigma_automorphism,
 )
 from qmat.rational import RF_ONE, RationalFunction
+from straighten_oracle import oracle_normalize_word
 
 
 def Y(ctx, i, a):
@@ -114,6 +116,35 @@ class TestRelations:
         ctx = build_context(2)
         with pytest.raises(ValueError):
             MatrixAlgebraElement.monomial(ctx, (-1, 0, 0, 0))
+
+
+class TestStraightening:
+    """normalize_word against the single-swap rewrites it replaced
+    (tests/straighten_oracle.py)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_single_swap_rewrites(self, n, data):
+        ctx = build_context(n)
+        letters = st.integers(min_value=0, max_value=n * n - 1)
+        word = data.draw(st.lists(letters, max_size=8))
+        assert normalize_word(ctx, word) == oracle_normalize_word(ctx, word)
+
+    def test_long_word_against_one_generator_at_a_time(self, monkeypatch):
+        # Y(2,2)^e Y(1,1)^e has e + 1 terms, but the single-swap rewrites
+        # reach its words along many rewrite paths (74 s at e = 8)
+        ctx = build_context(2)
+        e = 8
+        got = MatrixAlgebraElement.monomial(ctx, (0, 0, 0, e)) * (
+            MatrixAlgebraElement.monomial(ctx, (e, 0, 0, 0))
+        )
+        assert len(got.terms) == e + 1
+        monkeypatch.setattr(matrixalg, "normalize_word", oracle_normalize_word)
+        want = MatrixAlgebraElement.monomial(ctx, (0, 0, 0, e))
+        for _ in range(e):
+            want = want * Y(ctx, 1, 1)
+        assert got == want
 
 
 class TestDeterminant:

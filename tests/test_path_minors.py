@@ -9,7 +9,9 @@ itself.
 """
 
 import importlib.util
+import random
 from itertools import combinations
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -158,6 +160,65 @@ class TestLazyTable:
         joined = build_table(ctx)
         joined.entries
         assert embed(build_table(ctx), qdet(ctx)) == embed(joined, qdet(ctx))
+
+
+def qminor_as_minor(ctx, x):
+    """The minor check that ``tower._as_minor`` replaced: build qminor on
+    the rows and columns of the first term and compare term by term."""
+    terms = x.terms
+    if not terms:
+        return None
+    first = next(iter(terms))
+    t = sum(first)
+    if t < 2 or len(terms) != factorial(t):
+        return None
+    cells = [ctx.gen_at(k) for k, e in enumerate(first) if e]
+    rows = sorted({i for i, _ in cells})
+    cols = sorted({a for _, a in cells})
+    if not len(cells) == len(rows) == len(cols) == t:
+        return None
+    minor = qminor(ctx, rows, cols).terms
+    if minor.keys() != terms.keys():
+        return None
+    coeff = terms[first] / minor[first]
+    if any(terms[h] != coeff * m for h, m in minor.items()):
+        return None
+    return rows, cols, coeff
+
+
+def _minor_variants(ctx, m, rng):
+    """m scaled, and m with one term changed: its coefficient perturbed,
+    its sign flipped, or its key moved to two cells in one column."""
+    scales = (
+        RationalFunction((-2,)),
+        RationalFunction.q_power(-3),
+        RationalFunction((1, 2), (3, 0, 1)),
+    )
+    out = [m] + [m.scale(c) for c in scales]
+    keys = list(m.terms)
+    key = rng.choice(keys)
+    for change in (RationalFunction.q_power(1), -RF_ONE, RationalFunction((2, 1))):
+        terms = dict(m.terms)
+        terms[key] = terms[key] * change
+        out.append(MatrixAlgebraElement(ctx, terms))
+    cells = [k for k, e in enumerate(key) if e]
+    n = ctx.n
+    same_column = list(key)
+    same_column[cells[1]] -= 1
+    same_column[cells[1] // n * n + cells[0] % n] += 1
+    terms = dict(m.terms)
+    terms[tuple(same_column)] = terms.pop(key)
+    out.append(MatrixAlgebraElement(ctx, terms))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_as_minor_matches_the_qminor_check(n):
+    ctx = build_context(n)
+    rng = random.Random(n)
+    for m in minors(n, range(2, n + 1)):
+        for x in _minor_variants(ctx, m, rng):
+            assert tower._as_minor(ctx, x) == qminor_as_minor(ctx, x)
 
 
 def _near_misses(ctx):

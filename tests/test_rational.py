@@ -16,6 +16,8 @@ from qmat.rational import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
+    _cancel,
+    _coprime,
     _pdiv_exact,
     _pgcd,
     _trim,
@@ -443,9 +445,10 @@ class TestAgainstNumDenOracle:
 
 @pytest.fixture
 def pgcd_calls(monkeypatch):
-    """Calls of the polynomial gcd and of the integer-content gcd."""
+    """Calls of the polynomial gcd, of the coprimality proof and of the
+    integer-content gcd."""
     calls = []
-    for name in ("_pgcd", "_int_gcd"):
+    for name in ("_pgcd", "_coprime", "_int_gcd"):
         original = getattr(rational, name)
 
         def counted(*args, name=name, original=original):
@@ -492,8 +495,11 @@ class TestProductGcdCounts:
         x, y = self.GENERAL, self.SHARING
         del pgcd_calls[:]
         got = x * y
+        coprimes = [args for name, args in pgcd_calls if name == "_coprime"]
         pgcds = [args for name, args in pgcd_calls if name == "_pgcd"]
-        assert pgcds == [(x.p, y.r), (y.p, x.r)]
+        assert coprimes == [(x.p, y.r), (y.p, x.r)]
+        # only y.p and x.r share a factor, 1 + 2q^2, so only they need the PRS gcd
+        assert pgcds == [(y.p, x.r)]
         assert got == RationalFunction((3, -1, 2), (0, 5, 1, 2))
 
 
@@ -544,6 +550,75 @@ class TestNoGcdOnLaurentPath:
         assert image.is_monomial()
         assert all(c.r == (1,) for c in image.terms.values())
         assert pgcd_calls == []
+
+
+def cancel_inputs(min_len=1):
+    """Trimmed nonzero polynomials with nonzero constant terms, with small
+    or large coefficients."""
+    ints = st.one_of(small_ints, st.integers(min_value=-(10**9), max_value=10**9))
+    return st.lists(ints, min_size=min_len, max_size=4).map(tuple).filter(
+        lambda f: f[0] and f[-1]
+    )
+
+
+@st.composite
+def cancel_pairs(draw):
+    """(p, r) as ``_cancel`` receives them, often with a common factor of
+    positive degree, an integer one, or both."""
+    pmul = rational_oracle._pmul
+    p, r = draw(cancel_inputs()), draw(cancel_inputs())
+    if draw(st.booleans()):
+        h = draw(cancel_inputs(min_len=2))
+        p, r = pmul(p, h), pmul(r, h)
+    k = draw(st.sampled_from((1, 1, 2, -3, 6)))
+    return tuple(c * k for c in p), tuple(c * k for c in r)
+
+
+def prs_cancel(p, r):
+    """The cancel rule before ``_coprime``: the PRS gcd unless r is 1."""
+    if r == (1,):
+        return p, r
+    g = _pgcd(p, r)
+    return _pdiv_exact(p, g), _pdiv_exact(r, g)
+
+
+class TestCoprimeProof:
+    """``_coprime`` proves gcd(p, r) constant from the values at one large
+    point, or declines; ``_cancel`` then takes the integer content."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cancel_inputs(), cancel_inputs(), cancel_inputs(min_len=2))
+    def test_common_factor_is_never_ruled_out(self, p, r, h):
+        pmul = rational_oracle._pmul
+        assert not _coprime(pmul(p, h), pmul(r, h))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cancel_pairs())
+    def test_a_proof_leaves_a_constant_gcd(self, pair):
+        if _coprime(*pair):
+            assert len(_pgcd(*pair)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(cancel_pairs())
+    def test_cancel_equals_the_prs_rule(self, pair):
+        assert _cancel(*pair) == prs_cancel(*pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cancel_pairs())
+    def test_matches_sympy_gcd(self, pair):
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+        p, r = (sympy.Poly(list(reversed(f)), q, domain="ZZ") for f in pair)
+        g = sympy.gcd(p, r)
+        if g.LC() < 0:
+            g = -g
+        if _coprime(*pair):
+            assert g.degree() == 0
+        want = tuple(
+            tuple(int(c) for c in reversed(sympy.div(f, g)[0].all_coeffs()))
+            for f in (p, r)
+        )
+        assert _cancel(*pair) == want
 
 
 class TestSympyOracle:
