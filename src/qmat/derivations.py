@@ -30,9 +30,9 @@ from .errors import (
     QmatError,
 )
 from .limits import check_terms
-from .matrixalg import MatrixAlgebraElement, qdet, relation_report
+from .matrixalg import MatrixAlgebraElement, _multiply_into, qdet, relation_report
 from .rational import RF_ONE, RationalFunction
-from .sparse import add_into, require_operand
+from .sparse import add_into, require_operand, unit_exponent
 from .torus import TorusElement, delta_exponents, is_central_monomial
 from .tower import (
     StepGeneratorTable,
@@ -454,11 +454,11 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     mu_j off the central weight at the reader of D_j, which no other D_k scales.
 
     The one certificate is the zero residual d - ad_x - sum_j mu_j(det_q)
-    D_j on every generator.  It proves the coordinates, and it proves that
-    d is a derivation, so d is not checked up front: ad_x is a derivation,
-    so is each mu_j(det_q) D_j because det_q is central, and a spec is
-    fixed by its generator images, so d equals their sum.  Only if a step
-    fails is d checked, and a broken relation then raises
+    D_j, in one accumulator per generator.  It proves the coordinates and
+    that d is a derivation, so d is not checked up front: ad_x is a
+    derivation, so is each mu_j(det_q) D_j because det_q is central, and a
+    spec is fixed by its generator images, so d equals their sum.  Only if
+    a step fails is d checked, and a broken relation then raises
     NotADerivationError in place of the step's error.
     """
     ctx = table.ctx
@@ -470,19 +470,30 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
         dec = _split(_lift(table, d))
         mu = [_det_poly_of_central(dec.z[g]) for g in _readers(n)]
         inner = _solve_inner_part(table, dec.x)
-
-        residual = d - ad(inner) - _weighted_basis_sum(table, mu)
-        if not residual.is_zero():
-            raise ConditionViolatedError(
-                "reconstruction residual is nonzero"
-            )
+        for gen, acc in _weighted_images(table, mu):
+            # acc = W(Y) + (inner Y - Y inner) - d(Y), minus the residual at Y
+            y = unit_exponent(ctx, gen)
+            _multiply_into(acc, ctx, inner.terms, {y: RF_ONE})
+            _multiply_into(acc, ctx, {y: -RF_ONE}, inner.terms)
+            for e, c in d.images[gen].terms.items():
+                add_into(acc, e, -c)
+            if acc:
+                raise ConditionViolatedError("reconstruction residual is nonzero")
     return HH1Coordinates(ctx, inner, mu)
 
 
 def _weighted_basis_sum(
     table: StepGeneratorTable, mu: list[DetPolynomial]
 ) -> DerivationSpec:
-    """sum_j mu_j(det_q) * D_j from the table's store of det_q multiples.
+    """sum_j mu_j(det_q) * D_j as a spec (``_weighted_images``)."""
+    ctx = table.ctx
+    images = {g: MatrixAlgebraElement(ctx, t) for g, t in _weighted_images(table, mu)}
+    return DerivationSpec(ctx, "Mq", images)
+
+
+def _weighted_images(table: StepGeneratorTable, mu: list[DetPolynomial]):
+    """(gen, terms of W(gen)) for W = sum_j mu_j(det_q) * D_j, generator by
+    generator, from the table's store of det_q multiples.
 
     mu_j is the weight of D_j at its reader, so Y(i,a) maps to the sum of
     w_k * det_q^k * Y(i,a), w = mu at (i,1) + mu at (1,a) - mu at (1,1).
@@ -497,7 +508,6 @@ def _weighted_basis_sum(
     if any(k < 0 for m in mu for k in m):
         raise NotPolynomialError("negative determinant power in the algebra")
     at = dict(zip(_readers(n), mu))
-    images = {}
     for gen in ctx.generators:
         weight: DetPolynomial = {}
         for s, cell in _signed_readers(*gen):
@@ -513,8 +523,7 @@ def _weighted_basis_sum(
                     check_terms(len(power), "det_q power multiple")
             for e, ce in power.items() if k in weight else ():
                 add_into(image, e, ce * weight[k])
-        images[gen] = MatrixAlgebraElement(ctx, image)
-    return DerivationSpec(ctx, "Mq", images)
+        yield gen, image
 
 
 def _solve_inner_part(

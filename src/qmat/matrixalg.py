@@ -126,17 +126,20 @@ class MatrixAlgebraElement(SparseElement):
 
     def __mul__(self, other: "MatrixAlgebraElement") -> "MatrixAlgebraElement":
         self._check_operand(other)
-        ctx = self.ctx
-        out = MatrixAlgebraElement(ctx)
-        acc = out.terms
-        for g, cg in self.terms.items():
-            wg = _word_of(g)
-            for d, cd in other.terms.items():
-                c = cg * cd
-                for exp, coeff in normalize_word(ctx, wg + _word_of(d)).items():
-                    add_into(acc, exp, c * coeff)
-                check_terms(len(acc), "quantum-matrix product")
+        out = MatrixAlgebraElement(self.ctx)
+        _multiply_into(out.terms, self.ctx, self.terms, other.terms)
         return out
+
+
+def _multiply_into(acc: dict, ctx: AlgebraContext, xs: dict, ys: dict) -> None:
+    """acc += x * y for term dicts xs, ys: one ``normalize_word`` per term pair."""
+    for g, cg in xs.items():
+        wg = _word_of(g)
+        for d, cd in ys.items():
+            c = cg * cd
+            for exp, coeff in normalize_word(ctx, wg + _word_of(d)).items():
+                add_into(acc, exp, c * coeff)
+            check_terms(len(acc), "quantum-matrix product")
 
 
 # ---------------------------------------------------------------------------

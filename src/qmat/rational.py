@@ -8,16 +8,18 @@ unique, so equality is component-wise; the reduced quotient num/den is
 num = q^max(v, 0) * p, den = q^max(-v, 0) * r.
 
 Laurent polynomials (r = (1,)) are closed under +, - and * with no gcd
-and no zero padding, and multiplying by q^e adds e to v; a quotient of
-two of them that is exact in Z[q] is found by exact division.  Otherwise
-one rule, ``_cancel``, removes a common factor: nothing when the
-denominator is 1; the integer content when either side is a constant or
-``_coprime`` proves the gcd an integer from the values of both sides at
-one integer point beyond the roots (the evaluation idea of GCDHEU); the
-primitive-PRS gcd in Z[q] otherwise.  A product of reduced factors
-(a/r)(b/s) cancels only gcd(a, s) and gcd(b, r) before it multiplies
-(Henrici), so a one-term Laurent factor meets only an integer gcd, and
-no gcd of the full product ever runs.
+and no zero padding.  Multiplying by q^e adds e to v, and so does a
+product with a unit +-q^m (p = (+-1,), r = (1,)), which at most negates
+the other factor's p: no gcd and no polynomial product.  A quotient of
+two Laurent polynomials that is exact in Z[q] is found by exact
+division.  Otherwise one rule, ``_cancel``, removes a common factor:
+nothing when the denominator is 1; the integer content when either side
+is a constant or ``_coprime`` proves the gcd an integer from the values
+of both sides at one integer point beyond the roots (the evaluation idea
+of GCDHEU); the primitive-PRS gcd in Z[q] otherwise.  A product of
+reduced factors (a/r)(b/s) cancels only gcd(a, s) and gcd(b, r) before
+it multiplies (Henrici), so a one-term Laurent factor meets only an
+integer gcd, and no gcd of the full product ever runs.
 """
 
 from __future__ import annotations
@@ -278,6 +280,10 @@ class RationalFunction:
             return RF_ZERO
         v = self.v + other.v + e
         r, s = self.r, other.r
+        if s == _P_ONE and b in ((1,), (-1,)):  # a unit +-q^m: a shift
+            return _rf(v, a if b[0] > 0 else _pneg(a), r)
+        if r == _P_ONE and a in ((1,), (-1,)):
+            return _rf(v, b if a[0] > 0 else _pneg(b), s)
         if r == _P_ONE and s == _P_ONE:
             if len(a) == 1 and len(b) == 1:
                 return _rf(v, (a[0] * b[0],), _P_ONE)

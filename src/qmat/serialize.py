@@ -3,7 +3,9 @@
 All formats are dimension-tagged; sparse exponent lists use [i, a, e]
 triples in 1-based generator coordinates.  Decoding raises ``ParseError``
 on malformed input and ``DimensionMismatchError`` when dimensions
-disagree, matching the command-line exit-code contract.
+disagree, matching the command-line exit-code contract.  Each value is
+validated once, where it is read; the decoded terms are attached to the
+element as they are, without a second check of their exponents.
 """
 
 from __future__ import annotations
@@ -20,25 +22,23 @@ def _require(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
-def _is_int(v) -> bool:
-    """JSON integer; bool is an int subclass, but true/false are not integers."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _int_list(v) -> bool:
+    """A list of JSON integers; bool is an int subclass, but true/false are
+    not integers."""
+    if not isinstance(v, list):
+        return False
+    for c in v:
+        if type(c) is not int and (not isinstance(c, int) or type(c) is bool):
+            return False
+    return True
 
 
 def rf_from_json(data) -> RationalFunction:
     _require(isinstance(data, dict), "coefficient must be an object")
-    _require(
-        "num" in data and "den" in data, "coefficient needs num and den"
-    )
+    _require("num" in data and "den" in data, "coefficient needs num and den")
     num, den = data["num"], data["den"]
-    _require(
-        isinstance(num, list) and all(_is_int(c) for c in num),
-        "num must be a list of integers",
-    )
-    _require(
-        isinstance(den, list) and all(_is_int(c) for c in den),
-        "den must be a list of integers",
-    )
+    _require(_int_list(num), "num must be a list of integers")
+    _require(_int_list(den), "den must be a list of integers")
     _require(any(den), "den must be nonzero")
     return RationalFunction(tuple(num), tuple(den))
 
@@ -54,20 +54,17 @@ def _exp_to_triples(ctx: AlgebraContext, exp) -> list:
 
 def _exp_from_triples(ctx: AlgebraContext, data) -> tuple:
     _require(isinstance(data, list), "exp must be a list of [i, a, e] triples")
-    exp = [0] * (ctx.n * ctx.n)
+    n = ctx.n
+    exp = [0] * (n * n)
     for triple in data:
         _require(
-            isinstance(triple, list)
-            and len(triple) == 3
-            and all(_is_int(v) for v in triple),
+            _int_list(triple) and len(triple) == 3,
             "exp entries must be integer triples [i, a, e]",
         )
         i, a, e = triple
-        _require(
-            1 <= i <= ctx.n and 1 <= a <= ctx.n,
-            f"generator ({i},{a}) outside the {ctx.n}x{ctx.n} grid",
-        )
-        exp[ctx.flat(i, a)] += e
+        if not (1 <= i <= n and 1 <= a <= n):
+            raise ParseError(f"generator ({i},{a}) outside the {n}x{n} grid")
+        exp[(i - 1) * n + a - 1] += e
     return tuple(exp)
 
 
@@ -82,7 +79,7 @@ def element_to_json(x) -> dict:
 
 def element_from_json(data, alg: str | None = None, n: int | None = None):
     _require(isinstance(data, dict), "element must be an object")
-    _require("n" in data and _is_int(data["n"]), "element needs integer n")
+    _require("n" in data and _int_list([data["n"]]), "element needs integer n")
     if n is not None and data["n"] != n:
         raise DimensionMismatchError(
             f"element has n = {data['n']}, expected {n}"
@@ -96,15 +93,15 @@ def element_from_json(data, alg: str | None = None, n: int | None = None):
     ctx = build_context(data["n"])
     _require(isinstance(data.get("terms"), list), "element needs a terms list")
     # repeated exponents are summed and zero sums dropped
-    terms: dict = {}
+    out = ALGEBRAS[tag](ctx)
     for term in data["terms"]:
         _require(isinstance(term, dict), "terms must be objects")
         _require("exp" in term and "coeff" in term, "term needs exp and coeff")
         exp = _exp_from_triples(ctx, term["exp"])
-        if tag == "Mq" and any(e < 0 for e in exp):
+        if tag == "Mq" and min(exp) < 0:
             raise ParseError("negative exponents are torus-only")
-        add_into(terms, exp, rf_from_json(term["coeff"]))
-    return ALGEBRAS[tag](ctx, terms)
+        add_into(out.terms, exp, rf_from_json(term["coeff"]))
+    return out
 
 
 def derivation_to_json(d: DerivationSpec) -> dict:
@@ -124,7 +121,7 @@ def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
     _require(alg in ALGEBRAS, "spec needs alg Mq or torus")
     _require(isinstance(data.get("images"), list), "spec needs an images list")
     dim = data.get("n")
-    _require(dim is None or _is_int(dim), "spec n must be an integer")
+    _require(dim is None or _int_list([dim]), "spec n must be an integer")
     if dim is None:
         dim = n
     elif n is not None and dim != n:
@@ -133,12 +130,7 @@ def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
     for entry in data["images"]:
         _require(isinstance(entry, dict), "image entries must be objects")
         gen = entry.get("gen")
-        _require(
-            isinstance(gen, list)
-            and len(gen) == 2
-            and all(_is_int(v) for v in gen),
-            "image gen must be a pair [i, a]",
-        )
+        _require(_int_list(gen) and len(gen) == 2, "image gen must be a pair [i, a]")
         _require("value" in entry, f"image of {gen} needs a value")
         _require(tuple(gen) not in images, f"generator {gen} has two images")
         value = element_from_json(entry["value"], alg=alg, n=dim)

@@ -503,6 +503,54 @@ class TestProductGcdCounts:
         assert got == RationalFunction((3, -1, 2), (0, 5, 1, 2))
 
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("m", [-3, 0, 2])
+    def test_unit_factor_takes_no_gcd(self, pgcd_calls, sign, m):
+        unit = RationalFunction.q_power(m)
+        unit = unit if sign > 0 else -unit
+        laurent = RationalFunction((2, -1, 3))
+        for other in (self.GENERAL, self.SHARING, laurent, RF_ZERO):
+            for x, y in ((unit, other), (other, unit)):
+                del pgcd_calls[:]
+                got = x.__mul__(y, 5)
+                assert pgcd_calls == []
+                assert got == replaced_product(x, y, 5)
+
+
+class TestUnitShift:
+    """A product with a unit +-q^m shifts v and at most negates p; the
+    result is the canonical product."""
+
+    @staticmethod
+    def units():
+        def unit(m, negative):
+            u = RationalFunction.q_power(m)
+            return -u if negative else u
+
+        return st.builds(unit, st.integers(min_value=-6, max_value=6), st.booleans())
+
+    @staticmethod
+    def others():
+        laurent = st.builds(
+            lambda num, j: RationalFunction(num, (0,) * j + (1,)), polys(), shifts
+        )
+        return st.one_of(shifted_rationals(), laurent, st.just(RF_ZERO))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(min_value=-6, max_value=6))
+    def test_unit_products_are_the_canonical_products(self, data, e):
+        u = data.draw(self.units())
+        x = data.draw(self.others())
+        for got, want in (
+            (u * x, replaced_product(u, x)),
+            (x * u, replaced_product(x, u)),
+            (x.__mul__(u, e), replaced_product(x, u, e)),
+            (u.__mul__(x, e), replaced_product(u, x, e)),
+        ):
+            TestStoredAsGiven.assert_canonical(got)
+            assert (got.v, got.p, got.r) == (want.v, want.p, want.r)
+
+
 class TestNoGcdOnLaurentPath:
     """Laurent coefficients (r = (1,)) are closed under +, - and * and never
     reach a gcd, neither ``_pgcd`` nor the integer content.  An inner part
