@@ -13,11 +13,11 @@ import sys
 from .context import build_context
 from .derivations import (
     DerivationSpec,
-    _lift,
     check_derivation,
     decompose_torus_derivation,
     express_hh1,
     failing_relations,
+    lift_to_torus,
     rejecting_non_derivations,
 )
 from .errors import (
@@ -138,15 +138,8 @@ def cmd_derivation(args) -> int:
         return 0
     table = build_table(spec.ctx)
     if args.action == "decompose":
-        # The zero residual of the decomposition certifies both kinds of
-        # spec, so the relations are checked only on failure.  For an Mq
-        # spec d, _lift inverts the tower's Leibniz recursion exactly: once
-        # the lift is certified as ad_x + theta, a torus derivation, that
-        # derivation sends each top-step entry, the image of Y(i,a), to
-        # embed(d(Y(i,a))), and embed is an injective algebra map, so d
-        # respects every relation.
+        lifted = spec if spec.alg == "torus" else lift_to_torus(table, spec)
         with rejecting_non_derivations(spec):
-            lifted = spec if spec.alg == "torus" else _lift(table, spec)
             dec = decompose_torus_derivation(lifted)
         _emit(
             {

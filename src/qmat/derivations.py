@@ -28,6 +28,7 @@ from .errors import (
     NotADerivationError,
     NotPolynomialError,
     QmatError,
+    ResourceLimitError,
 )
 from .limits import check_terms
 from .matrixalg import MatrixAlgebraElement, _multiply_into, qdet, relation_report
@@ -117,6 +118,7 @@ def leibniz_extend(d: DerivationSpec, x):
     the derivative accumulates factor by factor, with negative torus
     powers handled through D(t^{-1}) = -t^{-1} D(t) t^{-1}.
     """
+    require_operand("leibniz_extend", d, DerivationSpec)
     ctx = d.ctx
     require_operand("leibniz_extend", x, d.cls, ctx.n)
     out = d.cls(ctx)
@@ -155,6 +157,7 @@ def check_derivation(d: DerivationSpec) -> list[dict]:
     Torus generators q-commute with the same exponents as the algebra's
     generators but carry no cross term.
     """
+    require_operand("check_derivation", d, DerivationSpec)
     ctx = d.ctx
     g = [d.cls.generator(ctx, gen) for gen in ctx.generators]
     dg = [d.images[gen] for gen in ctx.generators]
@@ -173,25 +176,24 @@ def failing_relations(report: list[dict]) -> list:
     return [entry["pair"] for entry in report if not entry["ok"]]
 
 
-def require_derivation(d: DerivationSpec) -> None:
-    """Raise NotADerivationError naming every pair whose relation d breaks."""
-    bad = failing_relations(check_derivation(d))
-    if bad:
-        raise NotADerivationError(f"images violate relations at pairs {bad}")
-
-
 @contextmanager
 def rejecting_non_derivations(d: DerivationSpec):
     """Run a computation whose success certifies that d is a derivation.
 
     d is checked only if the block raises a QmatError: a broken relation
-    then raises NotADerivationError, and otherwise the block's own error
-    propagates.
+    then raises NotADerivationError naming every pair it breaks, and
+    otherwise the block's own error propagates.  A tripped term guard
+    propagates unchecked: it says nothing about d, and the check would
+    redo the same products under the same guard.
     """
     try:
         yield
+    except ResourceLimitError:
+        raise
     except QmatError:
-        require_derivation(d)
+        bad = failing_relations(check_derivation(d))
+        if bad:
+            raise NotADerivationError(f"images violate relations at pairs {bad}")
         raise
 
 
@@ -285,14 +287,19 @@ def check_z_condition(
 def lift_to_torus(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpec:
     """Unique torus extension of a quantum-matrix derivation.
 
-    d is checked first and rejected with NotADerivationError if it breaks
-    a relation; ``_lift`` builds the extension.
+    ``_lift`` inverts the tower's Leibniz recursion exactly: once the zero
+    residual of its splitting certifies the lift as ad_x + theta, a torus
+    derivation, that derivation sends each top-step entry, the image of
+    Y(i,a), to embed(d(Y(i,a))), and embed is an injective algebra map, so
+    d respects every relation.  d is checked only if a step fails.
     """
+    require_operand("lift_to_torus", d, DerivationSpec, table.ctx.n)
     if d.alg != "Mq":
         raise DimensionMismatchError("lift_to_torus expects a quantum-matrix spec")
-    require_operand("lift_to_torus", d, DerivationSpec, table.ctx.n)
-    require_derivation(d)
-    return _lift(table, d)
+    with rejecting_non_derivations(d):
+        lifted = _lift(table, d)
+        decompose_torus_derivation(lifted)
+    return lifted
 
 
 def _lift(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpec:
@@ -352,6 +359,7 @@ def decompose_torus_derivation(d: DerivationSpec) -> TorusDecomposition:
     ``_split`` builds x and z; the zero residual d - ad_x - theta on every
     generator certifies them, and with them that d is a derivation.
     """
+    require_operand("decompose_torus_derivation", d, DerivationSpec)
     if d.alg != "torus":
         raise DimensionMismatchError(
             "decompose_torus_derivation expects a torus spec"
@@ -463,9 +471,9 @@ def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     """
     ctx = table.ctx
     n = ctx.n
+    require_operand("express_hh1", d, DerivationSpec, n)
     if d.alg != "Mq":
         raise DimensionMismatchError("express_hh1 expects a quantum-matrix spec")
-    require_operand("express_hh1", d, DerivationSpec, n)
     with rejecting_non_derivations(d):
         dec = _split(_lift(table, d))
         mu = [_det_poly_of_central(dec.z[g]) for g in _readers(n)]

@@ -1,19 +1,20 @@
 """Each derivation answer certified once, by its zero residual.
 
 ``express_hh1`` rests on the algebra residual d - ad(inner) -
-sum_j mu_j(det_q) D_j alone, and ``derivation decompose`` on the torus
-residual d - ad_x - theta, for a torus spec and for the lift of an Mq
-spec alike; the relations are checked only when a step fails, and
-``lift_to_torus`` is the one entry point that checks up front.  These
-tests pin down that every non-derivation is still rejected, that neither
-the relation check nor the torus certificate runs on the success path of
-``express_hh1``, that each mu_j lands in slot j, and that the
-one-product-per-generator residual matches the per-basis products it
-replaced.
+sum_j mu_j(det_q) D_j alone, and ``lift_to_torus`` and ``derivation
+decompose`` on the torus residual d - ad_x - theta, for a torus spec and
+for the lift of an Mq spec alike; the relations are checked only when a
+step fails, and never after a tripped term guard.  These tests pin down
+that every non-derivation is still rejected, that neither the relation
+check nor the torus certificate runs on the success path of
+``express_hh1``, that a tripped guard ends the call, that each mu_j lands
+in slot j, and that the one-product-per-generator residual matches the
+per-basis products it replaced.
 """
 
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -28,6 +29,7 @@ from qmat.cli import main
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
+    _lift,
     _weighted_basis_sum,
     ad,
     basis_derivation,
@@ -37,10 +39,12 @@ from qmat.derivations import (
     failing_relations,
     lift_to_torus,
 )
-from qmat.errors import NotADerivationError, NotInSpanError
+from qmat.errors import NotADerivationError, NotInSpanError, ResourceLimitError
+from qmat.limits import restored_max_terms, set_max_terms
 from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.serialize import derivation_to_json, element_to_json
+from qmat.suite import _random_matrix_element, _random_mu_poly
 from qmat.tower import StepGeneratorTable, build_table
 
 Q = RationalFunction.q_power
@@ -202,15 +206,44 @@ def test_other_failure_of_a_derivation_is_reraised(check_calls, monkeypatch):
     assert len(check_calls) == 1
 
 
-def test_lift_to_torus_still_checks_up_front(check_calls, monkeypatch):
-    def unreachable(table, d):
-        raise AssertionError("lifted a non-derivation")
+# ---------------------------------------------------------------------------
+# a tripped term guard ends the call
 
-    monkeypatch.setattr(derivations, "_lift", unreachable)
-    ctx = build_context(2)
-    with pytest.raises(NotADerivationError):
-        lift_to_torus(TABLES[2], _one_image_only(ctx, (2, 2)))
-    assert len(check_calls) == 1
+
+def _suite_style_spec(n, k):
+    """The k-th spec ad(x) + sum_j mu_j(det_q) D_j drawn from 1729 + n."""
+    ctx = build_context(n)
+    rng = random.Random(1729 + n)
+    for _ in range(k + 1):
+        x = _random_matrix_element(ctx, rng)
+        mu = [_random_mu_poly(ctx, rng) for _ in range(2 * n - 1)]
+    return ad(x) + straightened_basis_sum(ctx, mu)
+
+
+# on a fresh table this spec's lift trips a limit of 200 in a torus product,
+# before the relation check could trip it in a quantum-matrix product
+TRIPPED_SPEC, TRIPPED_LIMIT = _suite_style_spec(5, 1), 200
+TRIPPED = r"^torus product exceeded the term limit \(\d+ > 200\)"
+
+
+@pytest.mark.parametrize("entry", [lift_to_torus, express_hh1])
+def test_a_tripped_guard_is_final(entry, check_calls):
+    table = build_table(TRIPPED_SPEC.ctx)
+    with restored_max_terms():
+        set_max_terms(TRIPPED_LIMIT)
+        with pytest.raises(ResourceLimitError, match=TRIPPED):
+            entry(table, TRIPPED_SPEC)
+    assert check_calls == []
+
+
+def test_cli_reports_the_tripped_guard(check_calls, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(derivation_to_json(TRIPPED_SPEC)))
+    code = main(["--max-terms", str(TRIPPED_LIMIT), "derivation", "hh1", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: torus product exceeded ")
+    assert check_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +324,43 @@ def test_perturbed_derivation(case):
     else:
         rebuilt = ad(coords.inner) + straightened_basis_sum(ctx, coords.mu)
         assert rebuilt == perturbed
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_cases)
+def test_lift_to_torus_matches_the_checked_lift(case):
+    """``lift_to_torus`` rejects a spec exactly when a relation fails, and
+    checks it only after the torus certificate fails; otherwise it returns
+    the unchecked lift without checking."""
+    _, _, perturbed = _perturbed(case)
+    table = TABLES[perturbed.ctx.n]
+    bad = failing_relations(check_derivation(perturbed))
+    events = []
+    decompose = derivations.decompose_torus_derivation
+
+    def certify(d):
+        try:
+            return decompose(d)
+        except Exception:
+            events.append("certificate failed")
+            raise
+
+    def check(d):
+        events.append("checked")
+        return check_derivation(d)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(derivations, "decompose_torus_derivation", certify)
+        patch.setattr(derivations, "check_derivation", check)
+        if bad:
+            with pytest.raises(NotADerivationError) as info:
+                lift_to_torus(table, perturbed)
+            assert str(info.value) == f"images violate relations at pairs {bad}"
+            assert events == ["certificate failed", "checked"]
+            return
+        lifted = lift_to_torus(table, perturbed)
+    assert lifted == _lift(table, perturbed)
+    assert events == []
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basis_sum_oracle import straightened_basis_sum
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
+    HH1Coordinates,
     _det_poly_of_central,
     _lift,
+    _weighted_basis_sum,
     ad,
     annihilates_qdet,
     basis_derivation,
@@ -33,7 +37,7 @@ from qmat.errors import (
 from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RF_ZERO, RationalFunction
 from qmat.torus import TorusElement, delta_exponents, is_central_monomial
-from qmat.tower import build_table, embed
+from qmat.tower import StepGeneratorTable, build_table, embed
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +495,50 @@ class TestSL:
             coords = express_hh1(t3, sl_basis_derivation(ctx, i))
             assert mu_sum_constraint(coords)
         assert not mu_sum_constraint(express_hh1(t3, basis_derivation(ctx, 1)))
+
+
+def _weights(n, forced):
+    """2n-1 Laurent-coefficient weights of det_q degree at most 1; when
+    forced, mu_1 is solved from the others so that mu_sum_constraint holds."""
+    power = st.integers(0, 1)
+    coeff = st.builds(
+        lambda c, k: RationalFunction.from_int(c) * RationalFunction.q_power(k),
+        st.integers(-2, 2).filter(bool),
+        st.integers(-2, 2),
+    )
+    mu = st.lists(
+        st.dictionaries(power, coeff, max_size=2),
+        min_size=2 * n - 1,
+        max_size=2 * n - 1,
+    )
+    if not forced:
+        return mu
+
+    def solved(mu):
+        first = {}
+        for j, m in enumerate(mu[1:], 2):
+            weight = RationalFunction.from_int(n - 2 if j == n else -1)
+            for k, c in m.items():
+                first[k] = first.get(k, RF_ZERO) + c * weight
+        return [{k: c for k, c in first.items() if c}] + mu[1:]
+
+    return mu.map(solved)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.sampled_from([2, 3, 4]), st.booleans()).flatmap(
+        lambda case: st.tuples(st.just(case), _weights(*case))
+    )
+)
+def test_mu_sum_constraint_is_the_leibniz_check_on_det_q(case):
+    """The hand-written weights (1 for j != n, 2 - n for j = n) against the
+    independent check that sum_j mu_j(det_q) D_j kills det_q."""
+    (n, forced), mu = case
+    ctx = build_context(n)
+    holds = mu_sum_constraint(HH1Coordinates(ctx, MatrixAlgebraElement(ctx), mu))
+    assert holds or not forced
+    assert holds == annihilates_qdet(_weighted_basis_sum(StepGeneratorTable(ctx), mu))
 
 
 class TestGL:

@@ -3,6 +3,7 @@ next to a tower table or a spec, refuse operands of another size or
 another algebra."""
 
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from qmat.derivations import (
     ad,
     basis_derivation,
     central_scaling_spec,
+    check_derivation,
     decompose_torus_derivation,
     express_hh1,
     gl_express,
@@ -194,6 +196,24 @@ SPECS = {
 def test_lift_refuses_a_spec_of_another_n(spec):
     with pytest.raises(DimensionMismatchError, match=r"got DerivationSpec \(n = 3\)"):
         lift_to_torus(T2, SPECS[spec](C3))
+
+
+# an element where a spec belongs is refused before any of its fields is read
+SPEC_ENTRY_POINTS = {
+    "lift_to_torus": lambda d: lift_to_torus(T2, d),
+    "express_hh1": lambda d: express_hh1(T2, d),
+    "decompose_torus_derivation": decompose_torus_derivation,
+    "check_derivation": check_derivation,
+    "leibniz_extend": lambda d: leibniz_extend(d, Y(C2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("element", [Y(C2, 1, 2), T(C2, 1, 2)], ids=["Mq", "torus"])
+@pytest.mark.parametrize("entry", sorted(SPEC_ENTRY_POINTS))
+def test_spec_entry_points_refuse_an_element(entry, element):
+    got = re.escape(f"got {type(element).__name__} (n = 2)")
+    with pytest.raises(DimensionMismatchError, match=f"^{entry} expects a .*{got}$"):
+        SPEC_ENTRY_POINTS[entry](element)
 
 
 def test_leibniz_extend_refuses_an_element_of_another_n():
