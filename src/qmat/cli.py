@@ -134,7 +134,7 @@ def cmd_derivation(args) -> int:
         )
         bad = failing_relations(report)
         if bad:
-            raise NotADerivationError(f"images violate relations at pairs {bad}")
+            raise NotADerivationError.at_pairs(bad)
         return 0
     table = build_table(spec.ctx)
     if args.action == "decompose":

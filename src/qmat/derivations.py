@@ -193,7 +193,7 @@ def rejecting_non_derivations(d: DerivationSpec):
     except QmatError:
         bad = failing_relations(check_derivation(d))
         if bad:
-            raise NotADerivationError(f"images violate relations at pairs {bad}")
+            raise NotADerivationError.at_pairs(bad)
         raise
 
 
@@ -241,13 +241,8 @@ def basis_derivation(ctx: AlgebraContext, j: int) -> DerivationSpec:
     n = ctx.n
     if not (1 <= j <= 2 * n - 1):
         raise IndexOutOfRangeError(f"basis index {j} outside [1, {2 * n - 1}]")
-    images = {
-        gen: MatrixAlgebraElement.generator(ctx, gen).scale(
-            RationalFunction.from_int(_basis_sign(n, j, *gen))
-        )
-        for gen in ctx.generators
-    }
-    return DerivationSpec(ctx, "Mq", images)
+    mu = [{0: RF_ONE} if k == j else {} for k in range(1, 2 * n)]
+    return _weighted_basis_sum(StepGeneratorTable(ctx), mu)
 
 
 def central_scaling_spec(
@@ -568,37 +563,41 @@ def annihilates_qdet(d: DerivationSpec) -> bool:
     return leibniz_extend(d, qdet(d.ctx)).is_zero()
 
 
-def sl_basis_derivation(ctx: AlgebraContext, i: int) -> DerivationSpec:
-    """The determinant-annihilating basis combinations.
+def _det_weight(n: int, j: int) -> int:
+    """The t with D_j(det_q) = t * det_q.  A term of det_q has one cell in
+    each row and column, so the reader rule gives it the diagonal's weight."""
+    return sum(_basis_sign(n, j, i, i) for i in range(1, n + 1))
 
-    For n = 2: i = 1 gives D_1 - D_3 and i = 2 gives D_2.  For n >= 3 and
-    i != n: D_i + (1/(n-2)) D_n.
-    """
+
+def _sl_pivot(n: int) -> int:
+    """The D_p the SL combinations lean on: D_n, or D_{2n-1} if n = 2."""
+    return n if _det_weight(n, n) else 2 * n - 1
+
+
+def sl_basis_derivation(ctx: AlgebraContext, i: int) -> DerivationSpec:
+    """D_i - (t_i / t_p) D_p, with t_j from ``_det_weight``: it kills det_q.
+    For n >= 3 it is D_i + D_n / (n-2); for n = 2, D_1 - D_3 or D_2."""
     n = ctx.n
-    if n == 2:
-        if i == 1:
-            return basis_derivation(ctx, 1) - basis_derivation(ctx, 3)
-        if i == 2:
-            return basis_derivation(ctx, 2)
-        raise IndexOutOfRangeError(f"index {i} outside [1, 2] for n = 2")
-    if not (1 <= i <= 2 * n - 1) or i == n:
-        raise IndexOutOfRangeError(
-            f"index {i} must lie in [1, {n - 1}] or [{n + 1}, {2 * n - 1}]"
-        )
-    return basis_derivation(ctx, i) + basis_derivation(ctx, n).scale(
-        RationalFunction.from_fraction(1, n - 2)
-    )
+    p = _sl_pivot(n)
+    if not (1 <= i <= 2 * n - 1) or i == p:
+        raise IndexOutOfRangeError(f"index {i} outside [1, {2 * n - 1}] minus {{{p}}}")
+    mu = [{0: RF_ONE} if j == i else {} for j in range(1, 2 * n)]
+    t = RationalFunction.from_fraction(_det_weight(n, i), _det_weight(n, p))
+    add_into(mu[p - 1], 0, -t)
+    return _weighted_basis_sum(StepGeneratorTable(ctx), mu)
 
 
 def mu_sum_constraint(coords: HH1Coordinates) -> bool:
     """The linear relation forced on the weights of determinant-annihilating
-    derivations: sum of all mu_j (j != n) minus (n-2) mu_n vanishes."""
+    derivations: sum_j t_j mu_j vanishes, with D_j(det_q) = t_j det_q."""
     n = coords.ctx.n
+    if len(coords.mu) != 2 * n - 1:
+        raise IndexOutOfRangeError(f"{len(coords.mu)} weights, not {2 * n - 1}")
     total: DetPolynomial = {}
     for j, m in enumerate(coords.mu, 1):
-        weight = RationalFunction.from_int(2 - n) if j == n else RF_ONE
+        t = RationalFunction.from_int(_det_weight(n, j))
         for k, c in m.items():
-            add_into(total, k, c * weight)
+            add_into(total, k, c * t)
     return not total
 
 
@@ -628,7 +627,5 @@ def gl_express(
         images[gen] = rebase_to_matrix_algebra(table, factor * img)
     cleared = DerivationSpec(ctx, "Mq", images)
     coords = express_hh1(table, cleared)
-    shifted = [
-        {p - k: c for p, c in m.items()} for m in coords.mu
-    ]
+    shifted = [{p - k: c for p, c in m.items()} for m in coords.mu]
     return HH1Coordinates(ctx, coords.inner, shifted, det_shift=-k)

@@ -34,6 +34,10 @@ class ResourceLimitError(QmatError):
 class NotADerivationError(QmatError):
     """A generator-image assignment does not respect the defining relations."""
 
+    @classmethod
+    def at_pairs(cls, bad: list) -> "NotADerivationError":
+        return cls(f"images violate relations at pairs {bad}")
+
 
 class InconsistentDecompositionError(QmatError):
     """Different generators disagree on the inner part of a decomposition;

@@ -19,6 +19,7 @@ from .derivations import (
     DerivationSpec,
     _basis_sign,
     _readers,
+    _sl_pivot,
     _weighted_basis_sum,
     ad,
     basis_derivation,
@@ -422,9 +423,7 @@ def run_suite(n: int, canonical: bool = False) -> VerificationReport:
     )
 
     def leibniz_check():
-        d = basis_derivation(ctx, 1) + ad(
-            MatrixAlgebraElement.generator(ctx, (1, 1))
-        )
+        d = basis_derivation(ctx, 1) + ad(MatrixAlgebraElement.generator(ctx, (1, 1)))
         for _ in range(3):
             x = _random_matrix_element(ctx, rng)
             y = _random_matrix_element(ctx, rng)
@@ -471,7 +470,7 @@ def run_suite(n: int, canonical: bool = False) -> VerificationReport:
         rebase_roundtrip_check,
     )
 
-    sl_indices = [1, 2] if n == 2 else [i for i in range(1, 2 * n) if i != n]
+    sl_indices = [i for i in range(1, 2 * n) if i != _sl_pivot(n)]
     for i in sl_indices:
         report.add(
             f"sl-01-annihilation-{i:02d}",

@@ -496,6 +496,13 @@ class TestSL:
             assert mu_sum_constraint(coords)
         assert not mu_sum_constraint(express_hh1(t3, basis_derivation(ctx, 1)))
 
+    @pytest.mark.parametrize("count", [0, 2, 4, 6, 7])
+    def test_mu_sum_constraint_refuses_a_weight_list_of_another_length(self, count):
+        ctx = build_context(3)
+        coords = HH1Coordinates(ctx, MatrixAlgebraElement(ctx), [{}] * count)
+        with pytest.raises(IndexOutOfRangeError, match=f"{count} weights, not 5"):
+            mu_sum_constraint(coords)
+
 
 def _weights(n, forced):
     """2n-1 Laurent-coefficient weights of det_q degree at most 1; when

@@ -1,19 +1,29 @@
-"""The reader rule w(i,a) = w(i,1) + w(1,a) - w(1,1) against the two
-formulas it replaced, kept here verbatim as oracles: the three-branch sign
-of D_j and the interchange condition over every pair of rows and columns."""
+"""The reader rule w(i,a) = w(i,1) + w(1,a) - w(1,1) against the formulas
+it replaced, kept here verbatim as oracles: the three-branch sign of D_j,
+the interchange condition over every pair of rows and columns, the image
+loop of D_j and the hand-written determinant-annihilating combinations."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmat.context import build_context
+import qmat.derivations
 from qmat.derivations import (
+    DerivationSpec,
     _basis_sign,
+    _det_weight,
     _readers,
+    _sl_pivot,
     _weighted_basis_sum,
+    annihilates_qdet,
+    basis_derivation,
     check_z_condition,
+    leibniz_extend,
+    sl_basis_derivation,
 )
 from qmat.errors import IndexOutOfRangeError
+from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.torus import TorusElement, delta_exponents
 from qmat.tower import StepGeneratorTable
@@ -137,3 +147,87 @@ def test_weighted_basis_sum_refuses_a_weight_list_of_another_length(count):
     mu = [{} for _ in range(count - 1)] + [{0: RF_ONE}] if count else []
     with pytest.raises(IndexOutOfRangeError, match=f"{count} weights, not 3"):
         _weighted_basis_sum(StepGeneratorTable(ctx), mu)
+
+
+def _loop_basis_derivation(ctx, j):
+    """D_j as its own image loop: Y(i,a) -> e * Y(i,a), e the branch sign."""
+    images = {
+        gen: MatrixAlgebraElement.generator(ctx, gen).scale(
+            RationalFunction.from_int(_branch_basis_sign(ctx.n, j, *gen))
+        )
+        for gen in ctx.generators
+    }
+    return DerivationSpec(ctx, "Mq", images)
+
+
+def _hand_sl_basis_derivation(ctx, i):
+    """The combinations as written by hand: for n = 2, D_1 - D_3 and D_2;
+    for n >= 3 and i != n, D_i + (1/(n-2)) D_n."""
+    n = ctx.n
+    if n == 2:
+        if i == 1:
+            return _loop_basis_derivation(ctx, 1) - _loop_basis_derivation(ctx, 3)
+        if i == 2:
+            return _loop_basis_derivation(ctx, 2)
+        raise IndexOutOfRangeError(f"index {i} outside [1, 2] for n = 2")
+    if not (1 <= i <= 2 * n - 1) or i == n:
+        raise IndexOutOfRangeError(f"index {i} outside [1, {2 * n - 1}] minus {n}")
+    return _loop_basis_derivation(ctx, i) + _loop_basis_derivation(ctx, n).scale(
+        RationalFunction.from_fraction(1, n - 2)
+    )
+
+
+def _hand_sl_indices(n):
+    return [1, 2] if n == 2 else [i for i in range(1, 2 * n) if i != n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_det_weight_is_the_leibniz_action_on_det_q(n):
+    ctx = build_context(n)
+    det = qdet(ctx)
+    for j in range(1, 2 * n):
+        t = RationalFunction.from_int(_det_weight(n, j))
+        assert leibniz_extend(basis_derivation(ctx, j), det) == det.scale(t), j
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_basis_derivation_matches_the_image_loop(n):
+    ctx = build_context(n)
+    for j in range(1, 2 * n):
+        assert basis_derivation(ctx, j) == _loop_basis_derivation(ctx, j), j
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sl_combinations_match_the_hand_written_ones(n):
+    ctx = build_context(n)
+    indices = [i for i in range(1, 2 * n) if i != _sl_pivot(n)]
+    assert indices == _hand_sl_indices(n)
+    for i in indices:
+        d = sl_basis_derivation(ctx, i)
+        assert d == _hand_sl_basis_derivation(ctx, i), i
+        assert annihilates_qdet(d), i
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sl_combination_refuses_zero_the_pivot_and_2n(n):
+    ctx = build_context(n)
+    for i in (0, _sl_pivot(n), 2 * n):
+        with pytest.raises(IndexOutOfRangeError):
+            sl_basis_derivation(ctx, i)
+        with pytest.raises(IndexOutOfRangeError):
+            _hand_sl_basis_derivation(ctx, i)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_constant_weight_specs_read_no_det_q_multiple(n, monkeypatch):
+    def spy(table, h):
+        raise AssertionError(f"read det_q * Y^{h}")
+
+    monkeypatch.setattr(qmat.derivations, "_det_multiple", spy)
+    ctx = build_context(n)
+    with pytest.raises(AssertionError, match="read det_q"):
+        _weighted_basis_sum(StepGeneratorTable(ctx), [{1: RF_ONE}] + [{}] * (2 * n - 2))
+    for j in range(1, 2 * n):
+        basis_derivation(ctx, j)
+        if j != _sl_pivot(n):
+            sl_basis_derivation(ctx, j)
