@@ -5,19 +5,22 @@ propagates it to arbitrary elements.  The structural results implemented
 here:
 
   * every derivation of the quantum-matrix algebra lifts uniquely to the
-    torus through the tower embedding;
+    torus through the tower embedding (``lift_to_torus``);
   * every torus derivation splits as ad_x + theta with theta a central
     scaling, and the splitting is constructive;
-  * reading the central weights of the first row and column expresses the
-    derivation as ad_x plus a combination of the 2n-1 diagonal basis
-    derivations D_j with coefficients polynomial in the quantum
-    determinant.
+  * every derivation of the quantum-matrix algebra is ad_x plus a
+    combination of the 2n-1 diagonal basis derivations D_j with
+    coefficients polynomial in the quantum determinant, and
+    ``express_hh1`` finds both parts in the algebra alone: the weights are
+    read off the diagonal powers in the images of the first row and
+    column, and x by leading-term division.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .context import AlgebraContext, GeneratorIndex, sweep_cells
 from .errors import (
@@ -33,14 +36,13 @@ from .errors import (
 from .limits import check_terms
 from .matrixalg import MatrixAlgebraElement, _multiply_into, qdet, relation_report
 from .rational import RF_ONE, RationalFunction
-from .sparse import add_into, require_operand, unit_exponent
-from .torus import TorusElement, delta_exponents, is_central_monomial
+from .sparse import ExponentVector, add_into, require_operand, unit_exponent
+from .torus import TorusElement, commutation_exponent, is_central_monomial
 from .tower import (
     StepGeneratorTable,
     _det_multiple,
     embed,
     rebase_to_matrix_algebra,
-    solve_monomial_combination,
 )
 
 ALGEBRAS = {cls.ALG: cls for cls in (MatrixAlgebraElement, TorusElement)}
@@ -403,29 +405,6 @@ DetPolynomial = dict[int, RationalFunction]
 # sparse Laurent polynomial in the quantum determinant: power -> coefficient
 
 
-def _det_poly_of_central(z: TorusElement) -> DetPolynomial:
-    """Read a torus element on the ray of the full central monomial Delta_n
-    (the diagonal) as a polynomial in Delta_n.
-
-    A term c T^{k delta_n} reads as {k: c}: B vanishes between distinct
-    diagonal generators, so Delta_n^k = T^{k delta_n} with coefficient 1.
-    """
-    diagonal = delta_exponents(z.ctx, z.ctx.n)
-    out: DetPolynomial = {}
-    for exp, coeff in z.terms.items():
-        k = exp[0]
-        if exp != tuple(k * e for e in diagonal):
-            raise ConditionViolatedError(
-                f"central weight {exp} is off the determinant ray"
-            )
-        if k < 0:
-            raise NotPolynomialError(
-                f"central weight has negative determinant power {k}"
-            )
-        out[k] = coeff
-    return out
-
-
 class HH1Coordinates:
     """Coordinates of a derivation class: inner witness plus the 2n-1
     determinant-polynomial weights on the diagonal basis derivations.
@@ -453,36 +432,134 @@ class HH1Coordinates:
 def express_hh1(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     """Write a quantum-matrix derivation as ad_x + sum_j mu_j D_j.
 
-    Lift to the torus and split off the inner part there, unchecked; read
-    mu_j off the central weight at the reader of D_j, which no other D_k scales.
+    Every step runs in the algebra, ordered by the weight of
+    ``solve_monomial_combination`` (Y(i,a) weighs i*a).  x is taken free of
+    the diagonal powers (Y11...Ynn)^k, which fixes it, since x and
+    x + c det_q^k give the same ad_x.  ``_read_mu`` reads mu_j off the
+    image of the reader of D_j; ``_divide_inner_part`` then finds x by
+    leading-term division of W - d, W = sum_j mu_j(det_q) D_j, against the
+    brackets [Y^h, Y].
 
     The one certificate is the zero residual d - ad_x - sum_j mu_j(det_q)
-    D_j, in one accumulator per generator.  It proves the coordinates and
-    that d is a derivation, so d is not checked up front: ad_x is a
-    derivation, so is each mu_j(det_q) D_j because det_q is central, and a
-    spec is fixed by its generator images, so d equals their sum.  Only if
-    a step fails is d checked, and a broken relation then raises
-    NotADerivationError in place of the step's error.
+    D_j, in one accumulator per generator, which the division empties.  It
+    proves the coordinates and that d is a derivation, so d is not checked
+    up front: ad_x is a derivation, so is each mu_j(det_q) D_j because
+    det_q is central, and a spec is fixed by its generator images, so d
+    equals their sum.  Only if a step fails is d checked, and a broken
+    relation then raises NotADerivationError in place of the step's error.
     """
     ctx = table.ctx
-    n = ctx.n
-    require_operand("express_hh1", d, DerivationSpec, n)
+    require_operand("express_hh1", d, DerivationSpec, ctx.n)
     if d.alg != "Mq":
         raise DimensionMismatchError("express_hh1 expects a quantum-matrix spec")
     with rejecting_non_derivations(d):
-        dec = _split(_lift(table, d))
-        mu = [_det_poly_of_central(dec.z[g]) for g in _readers(n)]
-        inner = _solve_inner_part(table, dec.x)
-        for gen, acc in _weighted_images(table, mu):
-            # acc = W(Y) + (inner Y - Y inner) - d(Y), minus the residual at Y
-            y = unit_exponent(ctx, gen)
-            _multiply_into(acc, ctx, inner.terms, {y: RF_ONE})
-            _multiply_into(acc, ctx, {y: -RF_ONE}, inner.terms)
+        mu = _read_mu(d)
+        acc = {}
+        for gen, image in _weighted_images(table, mu):
             for e, c in d.images[gen].terms.items():
-                add_into(acc, e, -c)
-            if acc:
+                add_into(image, e, -c)
+            acc[gen] = image
+        inner = _divide_inner_part(ctx, acc)
+    return HH1Coordinates(ctx, MatrixAlgebraElement(ctx, inner), mu)
+
+
+def _read_mu(d: DerivationSpec) -> list[DetPolynomial]:
+    """The weights mu_j, read off d at the reader r of D_j: the det_q^k
+    term of mu_j is the coefficient of Y^(k diag + e_r) in d(Y_r) over
+    q^kappa, kappa = commutation_exponent(k diag, e_r).
+
+    W(Y_r) is sum_k mu_{j,k} det_q^k Y_r (the reader rule reads mu_j back
+    at r), and det_q^k Y_r is q^kappa Y^(k diag + e_r) plus lighter terms:
+    the diagonal is the heaviest term of det_q, with coefficient 1, and
+    straightening only lowers the weight.  ad_x adds nothing there: a term
+    Y^h of x of bidegree k(1^n; 1^n) other than the diagonal power, which
+    x does not have, is lighter than it (rearrangement inequality).  kappa
+    is read off B, never off the det_q store, so a store entry scaled by a
+    constant cannot cancel between mu and the W of the residual.
+    """
+    ctx = d.ctx
+    diagonal = [int(i == a) for i, a in ctx.generators]
+    mu = []
+    for r in _readers(ctx.n):
+        y = unit_exponent(ctx, r)
+        m: DetPolynomial = {}
+        for e, c in d.images[r].terms.items():
+            h = tuple(map(sub, e, y))
+            if h == tuple(h[0] * t for t in diagonal):
+                m[h[0]] = c.times_q_power(-commutation_exponent(ctx, h, y))
+        mu.append(m)
+    return mu
+
+
+def _divide_inner_part(
+    ctx: AlgebraContext, acc: dict[GeneratorIndex, dict]
+) -> dict[ExponentVector, RationalFunction]:
+    """The terms of x, free of diagonal powers, with acc[Y] + [x, Y] = 0
+    for every generator Y, by leading-term division; acc is emptied.
+
+    [Y^h, Y_g] is kappa Y^(h + e_g) plus lighter terms (``_bracket_leader``),
+    so when the heaviest terms of x weigh m, m is the largest value
+    weight(term) - weight(Y_g) over the accumulators, and a term Y^e of
+    value m in acc[g] comes from the term Y^h of x, h = e - e_g.  Each such
+    c_h is read at the leader of h, and adding every c_h [Y^h, Y_g] to every
+    acc[g] leaves only values below m.  An h with a negative entry, an h
+    whose brackets have no leading term (a diagonal power: B kills no other
+    natural exponent), or a term of value m or more that survives means
+    that no such x exists.
+    """
+    weights = [i * a for i, a in ctx.generators]
+    units = {gen: unit_exponent(ctx, gen) for gen in ctx.generators}
+    base = dict(zip(ctx.generators, weights))
+    weight: dict[ExponentVector, int] = {}
+    inner: dict[ExponentVector, RationalFunction] = {}
+    bound = None
+    while True:
+        values = {}
+        for gen, terms in acc.items():
+            for e in terms:
+                if e not in weight:
+                    weight[e] = sum(map(mul, weights, e))
+                values[gen, e] = weight[e] - base[gen]
+        if not values:
+            return inner
+        top = max(values.values())
+        if bound is not None and top >= bound:
+            raise ConditionViolatedError("reconstruction residual is nonzero")
+        lead = {
+            tuple(map(sub, e, units[g])) for (g, e), v in values.items() if v == top
+        }
+        xs = {}
+        for h in lead:
+            leader = _bracket_leader(ctx, h) if min(h) >= 0 else None
+            if leader is None:
                 raise ConditionViolatedError("reconstruction residual is nonzero")
-    return HH1Coordinates(ctx, inner, mu)
+            g, kappa = leader
+            c = acc[g].get(tuple(map(add, h, units[g])))
+            if c is not None:
+                xs[h] = -c / kappa
+        minus = {h: -c for h, c in xs.items()}
+        for gen, terms in acc.items():
+            y = {units[gen]: RF_ONE}
+            _multiply_into(terms, ctx, xs, y)
+            _multiply_into(terms, ctx, y, minus)
+        inner.update(xs)
+        bound = top
+
+
+def _bracket_leader(ctx: AlgebraContext, h: ExponentVector):
+    """(g, kappa) for the first generator Y_g whose bracket [Y^h, Y_g] has
+    the term kappa Y^(h + e_g), or None if there is none.
+
+    Y^h Y_g is q^(commutation_exponent(h, e_g)) Y^(h + e_g) plus lighter
+    terms, and likewise Y_g Y^h, so kappa is the difference of the two
+    q-powers, nonzero exactly when row g of B does not kill h.
+    """
+    for gen in ctx.generators:
+        y = unit_exponent(ctx, gen)
+        a, b = commutation_exponent(ctx, h, y), commutation_exponent(ctx, y, h)
+        if a != b:
+            return gen, RationalFunction.q_power(a) - RationalFunction.q_power(b)
+    return None
 
 
 def _weighted_basis_sum(
@@ -527,32 +604,6 @@ def _weighted_images(table: StepGeneratorTable, mu: list[DetPolynomial]):
             for e, ce in power.items() if k in weight else ():
                 add_into(image, e, ce * weight[k])
         yield gen, image
-
-
-def _solve_inner_part(
-    table: StepGeneratorTable, x_torus: TorusElement
-) -> MatrixAlgebraElement:
-    """Find y in the quantum-matrix algebra whose embedded image equals the
-    given element modulo central monomials.
-
-    Leading-term division against the non-central parts of the embedded
-    natural monomials.  No remainder has central terms, so the division
-    never picks a diagonal power (Y11...Ynn)^k.
-    """
-    ctx = table.ctx
-
-    def image(h):
-        img = embed(table, MatrixAlgebraElement.monomial(ctx, h))
-        return TorusElement(
-            ctx,
-            {
-                g: c
-                for g, c in img.terms.items()
-                if not is_central_monomial(ctx, g)
-            },
-        )
-
-    return MatrixAlgebraElement(ctx, solve_monomial_combination(x_torus, image))
 
 
 # ---------------------------------------------------------------------------

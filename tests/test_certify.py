@@ -7,7 +7,8 @@ for the lift of an Mq spec alike; the relations are checked only when a
 step fails, and never after a tripped term guard.  These tests pin down
 that every non-derivation is still rejected, that neither the relation
 check nor the torus certificate runs on the success path of
-``express_hh1``, that a tripped guard ends the call, that each mu_j lands
+``express_hh1``, which embeds nothing and forms no torus product, that a
+tripped guard ends the call, that each mu_j lands
 in slot j, and that the one-product-per-generator residual matches the
 per-basis products it replaced.
 """
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmat.derivations as derivations
+import qmat.tower as tower
 from basis_sum_oracle import straightened_basis_sum
 from qmat.cli import main
 from qmat.context import build_context
@@ -45,6 +47,7 @@ from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.serialize import derivation_to_json, element_to_json
 from qmat.suite import _random_matrix_element, _random_mu_poly
+from qmat.torus import TorusElement
 from qmat.tower import StepGeneratorTable, build_table
 
 Q = RationalFunction.q_power
@@ -188,6 +191,30 @@ def test_check_skipped_on_success(check_calls, decompose_calls):
     assert decompose_calls == []
 
 
+@pytest.mark.parametrize("n, k", [(2, 0), (3, 0), (3, 2), (4, 1)])
+def test_express_hh1_runs_no_torus_work(n, k, monkeypatch):
+    """express_hh1 on an Mq spec embeds nothing and multiplies no torus
+    elements: it works in the algebra alone."""
+    d = _suite_style_spec(n, k)
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for module in (tower, derivations):
+        monkeypatch.setattr(module, "embed", spy("embed", module.embed))
+    monkeypatch.setattr(
+        TorusElement, "__mul__", spy("TorusElement.__mul__", TorusElement.__mul__)
+    )
+    coords = express_hh1(build_table(d.ctx), d)
+    assert calls == []
+    assert (d - ad(coords.inner) - straightened_basis_sum(d.ctx, coords.mu)).is_zero()
+
+
 def test_check_runs_once_on_failure(check_calls):
     ctx = build_context(2)
     with pytest.raises(NotADerivationError):
@@ -196,10 +223,10 @@ def test_check_runs_once_on_failure(check_calls):
 
 
 def test_other_failure_of_a_derivation_is_reraised(check_calls, monkeypatch):
-    def no_solution(table, x):
+    def no_solution(ctx, acc):
         raise NotInSpanError("forced")
 
-    monkeypatch.setattr(derivations, "_solve_inner_part", no_solution)
+    monkeypatch.setattr(derivations, "_divide_inner_part", no_solution)
     ctx = build_context(2)
     with pytest.raises(NotInSpanError, match="forced"):
         express_hh1(TABLES[2], basis_derivation(ctx, 1))
@@ -224,25 +251,44 @@ def _suite_style_spec(n, k):
 # before the relation check could trip it in a quantum-matrix product
 TRIPPED_SPEC, TRIPPED_LIMIT = _suite_style_spec(5, 1), 200
 TRIPPED = r"^torus product exceeded the term limit \(\d+ > 200\)"
+# express_hh1 forms no torus product; on a fresh table it trips a limit of
+# 150 in a quantum-matrix product, as the relation check could
+HH1_TRIPPED_LIMIT = 150
+HH1_TRIPPED = r"^quantum-matrix product exceeded the term limit \(\d+ > 150\)"
 
 
-@pytest.mark.parametrize("entry", [lift_to_torus, express_hh1])
-def test_a_tripped_guard_is_final(entry, check_calls):
+@pytest.mark.parametrize(
+    "entry, limit, message",
+    [
+        pytest.param(lift_to_torus, TRIPPED_LIMIT, TRIPPED, id="lift_to_torus"),
+        pytest.param(express_hh1, HH1_TRIPPED_LIMIT, HH1_TRIPPED, id="express_hh1"),
+    ],
+)
+def test_a_tripped_guard_is_final(entry, limit, message, check_calls):
     table = build_table(TRIPPED_SPEC.ctx)
     with restored_max_terms():
-        set_max_terms(TRIPPED_LIMIT)
-        with pytest.raises(ResourceLimitError, match=TRIPPED):
+        set_max_terms(limit)
+        with pytest.raises(ResourceLimitError, match=message):
             entry(table, TRIPPED_SPEC)
+    assert check_calls == []
+
+
+def test_express_hh1_returns_where_the_lift_trips(check_calls):
+    expected = express_hh1(build_table(TRIPPED_SPEC.ctx), TRIPPED_SPEC)
+    with restored_max_terms():
+        set_max_terms(TRIPPED_LIMIT)
+        coords = express_hh1(build_table(TRIPPED_SPEC.ctx), TRIPPED_SPEC)
+    assert (coords.inner, coords.mu) == (expected.inner, expected.mu)
     assert check_calls == []
 
 
 def test_cli_reports_the_tripped_guard(check_calls, tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text(json.dumps(derivation_to_json(TRIPPED_SPEC)))
-    code = main(["--max-terms", str(TRIPPED_LIMIT), "derivation", "hh1", str(path)])
+    code = main(["--max-terms", str(HH1_TRIPPED_LIMIT), "derivation", "hh1", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err.startswith("error: torus product exceeded ")
+    assert captured.err.startswith("error: quantum-matrix product exceeded ")
     assert check_calls == []
 
 

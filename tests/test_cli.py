@@ -169,6 +169,12 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_dimension_budget_exits_1(self, capsys):
+        code = main(["det", "--n", "40"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: build_context: n = 40 exceeds ")
+
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhausted(args):
             raise MemoryError

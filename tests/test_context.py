@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import qmat.context as context
 from qmat.context import build_context
-from qmat.errors import IndexOutOfRangeError, InvalidDimensionError
+from qmat.errors import IndexOutOfRangeError, InvalidDimensionError, ResourceLimitError
+from qmat.limits import restored_max_terms, set_max_terms
 from qmat.linalg import _rref, integer_kernel_basis
 
 
@@ -59,6 +61,32 @@ class TestIndexing:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
             build_context(1)
+
+
+class TestDimensionBudget:
+    @pytest.fixture
+    def contexts_built(self, monkeypatch):
+        """The n of every AlgebraContext that build_context constructs, with
+        nothing built and the cache bypassed."""
+        built = []
+        monkeypatch.setattr(context, "AlgebraContext", built.append)
+        monkeypatch.setattr(context, "build_context", context.build_context.__wrapped__)
+        return built
+
+    def test_n40_raises_before_b_is_built(self, contexts_built):
+        with pytest.raises(ResourceLimitError, match=r"^build_context: n = 40 exceeds"):
+            context.build_context(40)
+        assert contexts_built == []
+
+    def test_the_budget_is_its_own(self, contexts_built):
+        # the term limit does not bound the dimension, nor the dimension
+        # budget the term limit
+        with restored_max_terms():
+            set_max_terms(3)
+            context.build_context(24)
+        with pytest.raises(ResourceLimitError):
+            context.build_context(25)
+        assert contexts_built == [24]
 
 
 class TestStepList:

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basis_sum_oracle import straightened_basis_sum
+from hh1_torus_oracle import det_poly_of_central
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
     HH1Coordinates,
-    _det_poly_of_central,
     _lift,
     _weighted_basis_sum,
     ad,
@@ -408,20 +408,20 @@ class TestDetPolyOfCentral:
         c = RationalFunction((1, 2), (3,))
         power = TorusElement.one(ctx)
         for k in range(4):
-            assert _det_poly_of_central(power.scale(c)) == {k: c}
+            assert det_poly_of_central(power.scale(c)) == {k: c}
             power = power * delta_element(ctx, n)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_other_central_direction_rejected(self, n):
         ctx = build_context(n)
         with pytest.raises(ConditionViolatedError):
-            _det_poly_of_central(delta_element(ctx, 1))
+            det_poly_of_central(delta_element(ctx, 1))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_negative_det_power_rejected(self, n):
         ctx = build_context(n)
         with pytest.raises(NotPolynomialError):
-            _det_poly_of_central(delta_element(ctx, n).invert_monomial())
+            det_poly_of_central(delta_element(ctx, n).invert_monomial())
 
 
 class TestExpress:

@@ -108,27 +108,29 @@ CORRUPTIONS = [
 
 
 @pytest.mark.parametrize("n, kind", CORRUPTIONS)
-def test_an_entry_corrupted_after_the_lift_fails_the_residual(n, kind, monkeypatch):
+def test_an_entry_corrupted_after_the_mu_read_fails_the_residual(n, kind, monkeypatch):
     ctx = build_context(n)
     table = build_table(ctx)
     d, gen = _spec(ctx, kind)
-    express_hh1(table, d)  # warm-up: the store now holds det_q * Y(gen)
-    solve = derivations._solve_inner_part
+    expected = express_hh1(table, d)  # warm-up: the store now holds det_q * Y(gen)
+    read = derivations._read_mu
 
-    def corrupting(table, x_torus):
+    def corrupting(d):
+        mu = read(d)
         _corrupt(table, gen)
-        return solve(table, x_torus)
+        return mu
 
-    monkeypatch.setattr(derivations, "_solve_inner_part", corrupting)
+    monkeypatch.setattr(derivations, "_read_mu", corrupting)
     with pytest.raises(ConditionViolatedError) as info:
         express_hh1(table, d)
     assert str(info.value) == RESIDUAL
+    assert read(d) == expected.mu
 
 
 @pytest.mark.parametrize("n, kind", CORRUPTIONS)
-def test_an_entry_corrupted_before_the_lift_yields_no_answer(n, kind):
-    # the division reads the entry first, so the lift goes wrong and a
-    # later step raises before any mu is returned
+def test_an_entry_corrupted_before_the_call_yields_no_answer(n, kind):
+    # the residual's W reads the entry, and mu is read off d, so W differs
+    # from the W of d and the division cannot empty the accumulator
     ctx = build_context(n)
     table = build_table(ctx)
     d, gen = _spec(ctx, kind)
@@ -136,6 +138,22 @@ def test_an_entry_corrupted_before_the_lift_yields_no_answer(n, kind):
     _corrupt(table, gen)
     with pytest.raises(QmatError):
         express_hh1(table, d)
+
+
+@pytest.mark.parametrize("n, kind", CORRUPTIONS)
+def test_a_det_q_scaled_by_a_constant_yields_no_answer(n, kind):
+    # every det_q * Y^g is then built from q * det_q, so a mu divided by the
+    # stored leading coefficient would cancel the scale and return mu / q;
+    # mu's q-powers come from B, so the residual fails instead
+    ctx = build_context(n)
+    table = build_table(ctx)
+    d, _ = _spec(ctx, kind)
+    det = _det_multiple(table, zero_exponents(ctx)).terms
+    for exp in det:
+        det[exp] = det[exp] * Q(1)
+    with pytest.raises(ConditionViolatedError) as info:
+        express_hh1(table, d)
+    assert str(info.value) == RESIDUAL
 
 
 # ---------------------------------------------------------------------------

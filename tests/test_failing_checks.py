@@ -1,8 +1,9 @@
 """The certificates and the suite's checks fail when the answer is wrong.
 
-Each test plants one wrong value (an inner part off by Y(1,2), or one
-coefficient of the top tower entry (1,1) off by a factor q) and checks
-that the certificate downstream of it rejects the answer.
+Each test plants one wrong value (a weight read one off, an inner
+coefficient read off by a factor q, or one coefficient of the top tower
+entry (1,1) off by a factor q) and checks that the certificate downstream
+of it rejects the answer, or that it reaches no answer that reads it.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 import qmat.derivations as derivations
 import qmat.suite as suite
 from basis_sum_oracle import straightened_basis_sum
+from hh1_torus_oracle import torus_express_hh1
 from qmat.cli import main
 from qmat.context import build_context
 from qmat.derivations import (
@@ -25,7 +27,7 @@ from qmat.derivations import (
 )
 from qmat.errors import ConditionViolatedError
 from qmat.matrixalg import MatrixAlgebraElement
-from qmat.rational import RationalFunction
+from qmat.rational import RF_ONE, RF_ZERO, RationalFunction
 from qmat.torus import TorusElement
 from qmat.tower import build_table
 
@@ -63,59 +65,107 @@ SPECS = [
 ]
 
 
-@pytest.fixture
-def wrong_inner_part(monkeypatch):
-    """_solve_inner_part returns the true inner part plus Y(1,2), and every
-    call of check_derivation is counted."""
-    solve = derivations._solve_inner_part
+# specs whose inner part is nonzero, so that the division reads a coefficient
+INNER_SPECS = [
+    pytest.param(
+        2,
+        lambda ctx: ad(MatrixAlgebraElement.generator(ctx, (1, 2)))
+        + basis_derivation(ctx, 1),
+        id="ad(Y12)+D1-n2",
+    ),
+    pytest.param(3, lambda ctx: _suite_style_spec(ctx, 1732), id="suite-style-n3"),
+]
+
+
+def _count_checks(monkeypatch):
     check = derivations.check_derivation
     checks = []
-
-    def off_by_y12(table, x_torus):
-        ctx = table.ctx
-        return solve(table, x_torus) + MatrixAlgebraElement.generator(ctx, (1, 2))
 
     def counted(d):
         checks.append(d)
         return check(d)
 
-    monkeypatch.setattr(derivations, "_solve_inner_part", off_by_y12)
     monkeypatch.setattr(derivations, "check_derivation", counted)
     return checks
 
 
+@pytest.fixture
+def wrong_weight(monkeypatch):
+    """The mu reader returns the true weights with 1 added to the constant
+    term of mu_1, and every call of check_derivation is counted."""
+    read = derivations._read_mu
+
+    def one_off(d):
+        mu = [dict(m) for m in read(d)]
+        mu[0][0] = mu[0].get(0, RF_ZERO) + RF_ONE
+        return [{k: c for k, c in m.items() if c} for m in mu]
+
+    monkeypatch.setattr(derivations, "_read_mu", one_off)
+    return _count_checks(monkeypatch)
+
+
+@pytest.fixture
+def wrong_inner_coefficient(monkeypatch):
+    """The division reads every inner coefficient at a leading coefficient
+    off by a factor q, and every call of check_derivation is counted."""
+    leader = derivations._bracket_leader
+
+    def off_by_q(ctx, h):
+        gen, kappa = leader(ctx, h)
+        return gen, kappa * RationalFunction.q_power(1)
+
+    monkeypatch.setattr(derivations, "_bracket_leader", off_by_q)
+    return _count_checks(monkeypatch)
+
+
+def _rejected(entry, table, d, checks):
+    with pytest.raises(ConditionViolatedError) as info:
+        entry(table, d)
+    assert str(info.value) == RESIDUAL
+    # d is a derivation, so the one check on failure passes and the
+    # residual's error propagates
+    assert len(checks) == 1
+
+
 class TestResidualCertificate:
     @pytest.mark.parametrize("n, make", SPECS)
-    def test_express_hh1_rejects_a_wrong_inner_part(self, wrong_inner_part, n, make):
-        d = make(build_context(n))
-        with pytest.raises(ConditionViolatedError) as info:
-            express_hh1(TABLES[n], d)
-        assert str(info.value) == RESIDUAL
-        # d is a derivation, so the one check on failure passes and the
-        # residual's error propagates
-        assert len(wrong_inner_part) == 1
+    def test_express_hh1_rejects_a_wrong_weight(self, wrong_weight, n, make):
+        _rejected(express_hh1, TABLES[n], make(build_context(n)), wrong_weight)
 
     @pytest.mark.parametrize("n, make", SPECS)
-    def test_gl_express_rejects_a_wrong_inner_part(self, wrong_inner_part, n, make):
-        d = make(build_context(n))
-        with pytest.raises(ConditionViolatedError) as info:
-            gl_express(TABLES[n], d, 0)
-        assert str(info.value) == RESIDUAL
-        assert len(wrong_inner_part) == 1
+    def test_gl_express_rejects_a_wrong_weight(self, wrong_weight, n, make):
+        gl = lambda table, d: gl_express(table, d, 0)  # noqa: E731
+        _rejected(gl, TABLES[n], make(build_context(n)), wrong_weight)
 
-    @pytest.mark.parametrize("n, make", SPECS)
+    @pytest.mark.parametrize("n, make", INNER_SPECS)
+    def test_express_hh1_rejects_a_wrong_inner_coefficient(
+        self, wrong_inner_coefficient, n, make
+    ):
+        d = make(build_context(n))
+        _rejected(express_hh1, TABLES[n], d, wrong_inner_coefficient)
+
+    @pytest.mark.parametrize("n, make", INNER_SPECS)
+    def test_gl_express_rejects_a_wrong_inner_coefficient(
+        self, wrong_inner_coefficient, n, make
+    ):
+        gl = lambda table, d: gl_express(table, d, 0)  # noqa: E731
+        d = make(build_context(n))
+        _rejected(gl, TABLES[n], d, wrong_inner_coefficient)
+
+    @pytest.mark.parametrize("n, make", SPECS + INNER_SPECS)
     def test_true_inner_part_passes(self, n, make):
         d = make(build_context(n))
         coords = express_hh1(TABLES[n], d)
-        assert (d - ad(coords.inner) - straightened_basis_sum(d.ctx, coords.mu)).is_zero()
+        rebuilt = ad(coords.inner) + straightened_basis_sum(d.ctx, coords.mu)
+        assert (d - rebuilt).is_zero()
 
 
 # ---------------------------------------------------------------------------
 # a suite run on a broken tower
 
-BROKEN_CHECKS = {
-    "tower-03-recursion",
-    "tower-04-minor-monomials",
+BROKEN_CHECKS = {"tower-03-recursion", "tower-04-minor-monomials"}
+# the checks that read the tower when express_hh1 takes the torus route
+TORUS_ROUTE_CHECKS = {
     "hh1-01-basis-02",
     "hh1-02-inner",
     "hh1-03-reconstruction",
@@ -160,9 +210,29 @@ class TestSuiteOnABrokenTower:
         assert failed["tower-04-minor-monomials"] == (
             "antidiagonal minor 2 is not the expected monomial"
         )
+        assert not report.all_pass()
+
+    def test_the_hh1_checks_do_not_read_the_tower(self, broken_tower):
+        report = suite.run_suite(2, canonical=True)
+        status = {c["id"]: c["status"] for c in report.checks}
+        hh1 = [i for i in status if i.startswith(("hh1-", "sl-"))]
+        assert set(TORUS_ROUTE_CHECKS) <= set(hh1)
+        assert all(status[i] == "pass" for i in hh1)
+        table = suite.build_table(build_context(2))
+        for j in range(1, 4):
+            d = basis_derivation(table.ctx, j)
+            coords = express_hh1(table, d)
+            assert not coords.inner and coords.mu == [
+                {0: RF_ONE} if k == j else {} for k in range(1, 4)
+            ]
+
+    def test_the_torus_route_reads_the_tower(self, broken_tower, monkeypatch):
+        monkeypatch.setattr(suite, "express_hh1", torus_express_hh1)
+        report = suite.run_suite(2, canonical=True)
+        failed = {c["id"]: c["witness"] for c in report.checks if c["status"] == "fail"}
+        assert set(failed) == BROKEN_CHECKS | TORUS_ROUTE_CHECKS
         # a crash inside a check is recorded as a failure naming the error
         assert failed["hh1-02-inner"] == f"ConditionViolatedError: {RESIDUAL}"
-        assert not report.all_pass()
 
     def test_a_lighter_broken_term_fails_the_recursion(self, monkeypatch):
         # q T12 T22^-1 T21 has its inner corner at the last pivot (2,2), so

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qmat.derivations as derivations
+import hh1_torus_oracle
 import qmat.tower as tower
 from qmat.context import build_context
 from qmat.errors import NotAMonomialError, NotInSpanError
@@ -488,9 +488,9 @@ def _outcome(solve):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_division_in_place_matches_division_by_copies(n, data):
-    # rebase_to_step, rebase_to_matrix_algebra and _solve_inner_part give
-    # the same coordinates, in the same order, or the same error, whichever
-    # division they run
+    # rebase_to_step, rebase_to_matrix_algebra and the torus oracle's
+    # solve_inner_part give the same coordinates, in the same order, or the
+    # same error, whichever division they run
     table = SHARED[n]
     ctx = table.ctx
     x = embed(table, data.draw(pbw_elements(n, 2))) + data.draw(torus_noise(n))
@@ -501,11 +501,11 @@ def test_division_in_place_matches_division_by_copies(n, data):
     solves = [
         lambda: rebase_to_step(table, step, x),
         lambda: rebase_to_matrix_algebra(table, x),
-        lambda: derivations._solve_inner_part(table, noncentral),
+        lambda: hh1_torus_oracle.solve_inner_part(table, noncentral),
     ]
     in_place = [_outcome(solve) for solve in solves]
     with pytest.MonkeyPatch.context() as patch:
-        for module in (tower, derivations):
+        for module in (tower, hh1_torus_oracle):
             patch.setattr(module, "solve_monomial_combination", _division_by_copies)
         assert [_outcome(solve) for solve in solves] == in_place
 
