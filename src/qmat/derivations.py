@@ -5,7 +5,8 @@ propagates it to arbitrary elements.  The structural results implemented
 here:
 
   * every derivation of the quantum-matrix algebra lifts uniquely to the
-    torus through the tower embedding (``lift_to_torus``);
+    torus through the tower embedding, and ``lift_to_torus`` reads the lift
+    off the answer of ``express_hh1``;
   * every torus derivation splits as ad_x + theta with theta a central
     scaling, and the splitting is constructive;
   * every derivation of the quantum-matrix algebra is ad_x plus a
@@ -282,57 +283,30 @@ def check_z_condition(
 
 
 def lift_to_torus(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpec:
-    """Unique torus extension of a quantum-matrix derivation.
+    """Unique torus extension of a quantum-matrix derivation, read off the
+    certified answer d = ad_x + sum_j mu_j(det_q) D_j of ``express_hh1``.
 
-    ``_lift`` inverts the tower's Leibniz recursion exactly: once the zero
-    residual of its splitting certifies the lift as ad_x + theta, a torus
-    derivation, that derivation sends each top-step entry, the image of
-    Y(i,a), to embed(d(Y(i,a))), and embed is an injective algebra map, so
-    d respects every relation.  d is checked only if a step fails.
-    """
-    require_operand("lift_to_torus", d, DerivationSpec, table.ctx.n)
-    if d.alg != "Mq":
-        raise DimensionMismatchError("lift_to_torus expects a quantum-matrix spec")
-    with rejecting_non_derivations(d):
-        lifted = _lift(table, d)
-        decompose_torus_derivation(lifted)
-    return lifted
-
-
-def _lift(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpec:
-    """The torus extension of a quantum-matrix spec, without checking it.
-
-    The images of the top-step entries are the embedded generator images;
-    the tower recursion is then unwound step by step until the bottom
-    step, where the entries are the torus generators themselves.  Step
-    (j, b) added U * P^{-1} * L to entry (i, a), with U = entry (i, b),
-    L = entry (j, a) and the monomial pivot P = entry (j, b), none of which
-    the step changes; its image is subtracted by the quotient rule
-
-        D(U P^{-1} L) = D(U) (P^{-1} L) + (U P^{-1}) (D(L) - D(P) P^{-1} L),
-
-    with D(P) P^{-1} formed once per step, U P^{-1} once per row, and
-    P^{-1} L and D(L) - D(P) P^{-1} L once per column.
+    embed is an injective algebra map, so ad_x lifts to ad of embed(x).
+    Every term of embed(Y(i,a)) has row sums e_i and column sums e_a, and
+    the weight of D_j at a cell is a row part plus a column part, so D_j
+    lifts to T_a -> w_j(a) T_a; embed(det_q) is a central monomial, so
+    mu_j(det_q) D_j lifts to the central scaling by mu_j(embed(det_q)) w_j.
+    A derivation has only one extension to the torus, so this is it, and
+    the zero residual of ``express_hh1`` is its one certificate.
     """
     ctx = table.ctx
-    cur = {gen: embed(table, d.images[gen]) for gen in ctx.generators}
-    for idx in range(len(ctx.E) - 2, -1, -1):
-        j, b = ctx.E[idx]
-        if j == 1 or b == 1:
-            continue
-        level = table.entries[ctx.E[idx + 1]]
-        pinv = level[(j, b)].invert_monomial()
-        dp_pinv = cur[(j, b)] * pinv
-        upper = [level[(i, b)] * pinv for i in range(1, j)]
-        for a in range(1, b):
-            left = level[(j, a)]
-            right = pinv * left
-            dright = cur[(j, a)] - dp_pinv * left
-            for i in range(1, j):
-                cur[(i, a)] = cur[(i, a)] - (
-                    cur[(i, b)] * right + upper[i - 1] * dright
-                )
-    return DerivationSpec(ctx, "torus", cur)
+    require_operand("lift_to_torus", d, DerivationSpec, ctx.n)
+    if d.alg != "Mq":
+        raise DimensionMismatchError("lift_to_torus expects a quantum-matrix spec")
+    coords = express_hh1(table, d)
+    det, powers = embed(table, qdet(ctx)), [TorusElement.one(ctx)]
+    z = {}
+    for gen, weight in _cell_weights(ctx, coords.mu):
+        while len(powers) <= max(weight, default=0):
+            powers.append(powers[-1] * det)
+        terms = (powers[k].scale(c) for k, c in weight.items())
+        z[gen] = sum(terms, TorusElement(ctx))
+    return ad(embed(table, coords.inner)) + central_scaling_spec(ctx, z)
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +545,27 @@ def _weighted_basis_sum(
     return DerivationSpec(ctx, "Mq", images)
 
 
+def _cell_weights(ctx: AlgebraContext, mu: list[DetPolynomial]):
+    """(gen, w(gen)) in generator order for the weights mu_j of D_j at their
+    readers: w(i,a) = mu at (i,1) + mu at (1,a) - mu at (1,1)."""
+    at = dict(zip(_readers(ctx.n), mu))
+    for gen in ctx.generators:
+        weight: DetPolynomial = {}
+        for s, cell in _signed_readers(*gen):
+            for k, c in at[cell].items():
+                add_into(weight, k, c if s > 0 else -c)
+        yield gen, weight
+
+
 def _weighted_images(table: StepGeneratorTable, mu: list[DetPolynomial]):
     """(gen, terms of W(gen)) for W = sum_j mu_j(det_q) * D_j, generator by
     generator, from the table's store of det_q multiples.
 
-    mu_j is the weight of D_j at its reader, so Y(i,a) maps to the sum of
-    w_k * det_q^k * Y(i,a), w = mu at (i,1) + mu at (1,a) - mu at (1,1).
-    det_q^k * Y(i,a) = det_q * (det_q^(k-1) * Y(i,a)) sums entries det_q * Y^h
-    of the store the det_q division fills (``tower._det_multiple``): plain
-    Mq products, so the residual of ``express_hh1`` stays an Mq certificate.
+    Y(i,a) maps to the sum of w_k * det_q^k * Y(i,a), w = w(i,a) of
+    ``_cell_weights``.  det_q^k * Y(i,a) = det_q * (det_q^(k-1) * Y(i,a))
+    sums entries det_q * Y^h of the store the det_q division fills
+    (``tower._det_multiple``): plain Mq products, so the residual of
+    ``express_hh1`` stays an Mq certificate.
     """
     ctx = table.ctx
     n = ctx.n
@@ -587,12 +573,7 @@ def _weighted_images(table: StepGeneratorTable, mu: list[DetPolynomial]):
         raise IndexOutOfRangeError(f"{len(mu)} weights, not {2 * n - 1}")
     if any(k < 0 for m in mu for k in m):
         raise NotPolynomialError("negative determinant power in the algebra")
-    at = dict(zip(_readers(n), mu))
-    for gen in ctx.generators:
-        weight: DetPolynomial = {}
-        for s, cell in _signed_readers(*gen):
-            for k, c in at[cell].items():
-                add_into(weight, k, c if s > 0 else -c)
+    for gen, weight in _cell_weights(ctx, mu):
         power, image = MatrixAlgebraElement.generator(ctx, gen).terms, {}
         for k in range(max(weight, default=-1) + 1):
             if k:

@@ -15,11 +15,11 @@ A product has one path: the larger factor is translated by each term T^t
 of the smaller one, x -> x + t on its exponents.  A translation is
 injective and Q(q) has no zero divisors, so the terms of one translate
 never collide or cancel and are built in one pass; the translates are
-then summed.  A one-term factor, as in the lift's pivot inverse,
-``embed``'s det_q image and ``embed_monomial_at_step``'s start, makes the
-product a single translation.  The tower table forms no product: it
-cuts every level from the Cauchon paths of its top entries, and
-``verify_forward_recursion`` certifies them with this product.
+then summed.  A one-term factor, as in the lift's det_q powers and
+scaled generators, ``embed``'s det_q image and ``embed_monomial_at_step``'s
+start, makes the product a single translation.  The tower table forms no
+product: it cuts every level from the Cauchon paths of its top entries,
+and ``verify_forward_recursion`` certifies them with this product.
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ entry on its first read with no product: ``top_entry`` sums the paths of
 one top entry, and ``entries`` cuts every level from the top entries.
 ``verify_forward_recursion`` (suite check tower-03) checks the lowest
 level against the torus generators and certifies each level above it
-against the recursion in torus products.  The lift of
-``derivations.lift_to_torus`` (``derivations._lift``) unwinds the
-recursion with real products; ``derivations.express_hh1`` does not lift.
+against the recursion in torus products.  Nothing unwinds the
+recursion: ``derivations.lift_to_torus`` reads the lift off the answer of
+``derivations.express_hh1``, which works in the algebra alone.
 
 By Casteels (Quantum matrices by paths, Algebra & Number Theory 8,
 2014) the image of the quantum minor on rows i_1 < ... < i_t and columns

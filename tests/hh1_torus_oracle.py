@@ -2,22 +2,22 @@
 
 This is how ``qmat.derivations.express_hh1`` found its answer before it
 read mu off the diagonal powers and divided out the inner part in the
-algebra: lift the spec through the tower (``_lift``), split the lift as
-ad_x + theta (``_split``), read mu_j off the central weight theta_r at the
-reader r of D_j, and rebase the inner part x from the torus to the
-algebra.  The answer is certified by the same residual,
-d - ad(inner) - sum_j mu_j(det_q) D_j, here in spec arithmetic, inside
-``rejecting_non_derivations``; so both routes give the same answer or the
-same error on every spec.
+algebra: lift the spec through the tower by the quotient rule
+(``lift_oracle._lift``), split the lift as ad_x + theta (``_split``), read
+mu_j off the central weight theta_r at the reader r of D_j, and rebase the
+inner part x from the torus to the algebra.  The answer is certified by
+the same residual, d - ad(inner) - sum_j mu_j(det_q) D_j, here in spec
+arithmetic, inside ``rejecting_non_derivations``; so both routes give the
+same answer or the same error on every spec.
 
     express_hh1(table, d) == torus_express_hh1(table, d)
 """
 
 from __future__ import annotations
 
+from lift_oracle import _lift
 from qmat.derivations import (
     HH1Coordinates,
-    _lift,
     _readers,
     _split,
     _weighted_basis_sum,

@@ -1,16 +1,17 @@
 """Each derivation answer certified once, by its zero residual.
 
 ``express_hh1`` rests on the algebra residual d - ad(inner) -
-sum_j mu_j(det_q) D_j alone, and ``lift_to_torus`` and ``derivation
-decompose`` on the torus residual d - ad_x - theta, for a torus spec and
-for the lift of an Mq spec alike; the relations are checked only when a
-step fails, and never after a tripped term guard.  These tests pin down
-that every non-derivation is still rejected, that neither the relation
-check nor the torus certificate runs on the success path of
-``express_hh1``, which embeds nothing and forms no torus product, that a
-tripped guard ends the call, that each mu_j lands
-in slot j, and that the one-product-per-generator residual matches the
-per-basis products it replaced.
+sum_j mu_j(det_q) D_j alone, and ``lift_to_torus`` reads the lift off
+that certified answer; ``derivation decompose`` rests on the torus
+residual d - ad_x - theta of its one splitting.  The relations are
+checked only when a step fails, and never after a tripped term guard.
+These tests pin down that every non-derivation is still rejected, that
+neither the relation check nor the torus certificate runs on the success
+path of ``express_hh1``, which embeds nothing and forms no torus product,
+that a tripped guard ends the call, that the lift returns where the
+quotient-rule lift trips, that each mu_j lands in slot j, and that the
+one-product-per-generator residual matches the per-basis products it
+replaced.
 """
 
 import io
@@ -27,11 +28,11 @@ from hypothesis import strategies as st
 import qmat.derivations as derivations
 import qmat.tower as tower
 from basis_sum_oracle import straightened_basis_sum
+from lift_oracle import _lift
 from qmat.cli import main
 from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
-    _lift,
     _weighted_basis_sum,
     ad,
     basis_derivation,
@@ -247,12 +248,14 @@ def _suite_style_spec(n, k):
     return ad(x) + straightened_basis_sum(ctx, mu)
 
 
-# on a fresh table this spec's lift trips a limit of 200 in a torus product,
-# before the relation check could trip it in a quantum-matrix product
+# on a fresh table the quotient-rule lift (``lift_oracle._lift``) of this
+# spec trips a limit of 200 in a torus product, before the relation check
+# could trip it in a quantum-matrix product
 TRIPPED_SPEC, TRIPPED_LIMIT = _suite_style_spec(5, 1), 200
 TRIPPED = r"^torus product exceeded the term limit \(\d+ > 200\)"
-# express_hh1 forms no torus product; on a fresh table it trips a limit of
-# 150 in a quantum-matrix product, as the relation check could
+# express_hh1, and lift_to_torus through it, form no torus product before
+# the answer; on a fresh table they trip a limit of 150 in a quantum-matrix
+# product, as the relation check could
 HH1_TRIPPED_LIMIT = 150
 HH1_TRIPPED = r"^quantum-matrix product exceeded the term limit \(\d+ > 150\)"
 
@@ -260,7 +263,9 @@ HH1_TRIPPED = r"^quantum-matrix product exceeded the term limit \(\d+ > 150\)"
 @pytest.mark.parametrize(
     "entry, limit, message",
     [
-        pytest.param(lift_to_torus, TRIPPED_LIMIT, TRIPPED, id="lift_to_torus"),
+        pytest.param(
+            lift_to_torus, HH1_TRIPPED_LIMIT, HH1_TRIPPED, id="lift_to_torus"
+        ),
         pytest.param(express_hh1, HH1_TRIPPED_LIMIT, HH1_TRIPPED, id="express_hh1"),
     ],
 )
@@ -274,11 +279,24 @@ def test_a_tripped_guard_is_final(entry, limit, message, check_calls):
 
 
 def test_express_hh1_returns_where_the_lift_trips(check_calls):
+    """At the limit where the quotient-rule lift trips, express_hh1 returns
+    the answer it gives unlimited, without checking."""
     expected = express_hh1(build_table(TRIPPED_SPEC.ctx), TRIPPED_SPEC)
     with restored_max_terms():
         set_max_terms(TRIPPED_LIMIT)
         coords = express_hh1(build_table(TRIPPED_SPEC.ctx), TRIPPED_SPEC)
     assert (coords.inner, coords.mu) == (expected.inner, expected.mu)
+    assert check_calls == []
+
+
+def test_lift_to_torus_returns_where_the_quotient_rule_lift_trips(check_calls):
+    expected = _lift(build_table(TRIPPED_SPEC.ctx), TRIPPED_SPEC)
+    with restored_max_terms():
+        set_max_terms(TRIPPED_LIMIT)
+        lifted = lift_to_torus(build_table(TRIPPED_SPEC.ctx), TRIPPED_SPEC)
+        with pytest.raises(ResourceLimitError, match=TRIPPED):
+            _lift(build_table(TRIPPED_SPEC.ctx), TRIPPED_SPEC)
+    assert lifted == expected
     assert check_calls == []
 
 
@@ -376,17 +394,17 @@ def test_perturbed_derivation(case):
 @given(perturbed_cases)
 def test_lift_to_torus_matches_the_checked_lift(case):
     """``lift_to_torus`` rejects a spec exactly when a relation fails, and
-    checks it only after the torus certificate fails; otherwise it returns
-    the unchecked lift without checking."""
+    checks it only after the division of ``express_hh1`` fails; otherwise
+    it returns the quotient-rule lift without checking."""
     _, _, perturbed = _perturbed(case)
     table = TABLES[perturbed.ctx.n]
     bad = failing_relations(check_derivation(perturbed))
     events = []
-    decompose = derivations.decompose_torus_derivation
+    divide = derivations._divide_inner_part
 
-    def certify(d):
+    def certify(ctx, acc):
         try:
-            return decompose(d)
+            return divide(ctx, acc)
         except Exception:
             events.append("certificate failed")
             raise
@@ -396,7 +414,7 @@ def test_lift_to_torus_matches_the_checked_lift(case):
         return check_derivation(d)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(derivations, "decompose_torus_derivation", certify)
+        patch.setattr(derivations, "_divide_inner_part", certify)
         patch.setattr(derivations, "check_derivation", check)
         if bad:
             with pytest.raises(NotADerivationError) as info:

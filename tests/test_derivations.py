@@ -10,7 +10,6 @@ from qmat.context import build_context
 from qmat.derivations import (
     DerivationSpec,
     HH1Coordinates,
-    _lift,
     _weighted_basis_sum,
     ad,
     annihilates_qdet,
@@ -305,11 +304,12 @@ LIFT_TABLES = {n: build_table(build_context(n)) for n in (2, 3, 4)}
 
 
 class TestQuotientRuleLift:
-    """``_lift`` against the three-term correction it replaced."""
+    """``lift_to_torus`` against the three-term correction that the
+    quotient-rule lift replaced."""
 
     @staticmethod
     def _assert_same_lift(table, d):
-        lifted = _lift(table, d)
+        lifted = lift_to_torus(table, d)
         expected = _lift_three_term(table, d)
         for gen in table.ctx.generators:
             assert lifted.images[gen] == expected.images[gen], gen

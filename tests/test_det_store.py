@@ -68,7 +68,7 @@ def test_the_residual_reads_what_the_lift_stored():
     ctx = build_context(3)
     table = build_table(ctx)
     mu = [{1: Q(1)} if j == 3 else {} for j in range(1, 6)]
-    derivations._lift(table, straightened_basis_sum(ctx, mu))
+    derivations.lift_to_torus(table, straightened_basis_sum(ctx, mu))
     stored = dict(table._det_multiples)
     _weighted_basis_sum(table, mu)
     assert table._det_multiples == stored
