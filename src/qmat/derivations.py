@@ -383,9 +383,9 @@ class HH1Coordinates:
     """Coordinates of a derivation class: inner witness plus the 2n-1
     determinant-polynomial weights on the diagonal basis derivations.
 
-    ``det_shift`` records a global factor Delta_n^shift that has been
-    divided out of the inner witness (nonzero only in the localized
-    setting); the mu weights are stored already shifted.
+    ``det_shift`` is -k for the clearing power k of ``gl_express``: the
+    inner witness is that of det_q^k d, and the mu weights are stored
+    already shifted back.  It is 0 outside the localized setting.
     """
 
     __slots__ = ("ctx", "inner", "mu", "det_shift")
@@ -633,31 +633,31 @@ def mu_sum_constraint(coords: HH1Coordinates) -> bool:
     return not total
 
 
-def gl_express(
-    table: StepGeneratorTable, d: DerivationSpec, k: int
-) -> HH1Coordinates:
-    """Coordinates for a derivation whose images carry determinant-inverse
-    factors, given as a torus spec on the quantum-matrix generators.
+def gl_express(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
+    """Coordinates, mu Laurent in det_q, for a derivation whose images carry
+    det_q^-1 factors, given as a torus spec on the quantum-matrix generators
+    (an Mq spec has the coordinates of ``express_hh1``).
 
-    Multiplying every image by the k-th power of the embedded determinant
-    lands the spec back in the algebra; the coordinates of that spec are
-    computed and the weights divided back, so mu may be Laurent in the
-    determinant."""
+    The images are multiplied by embed(det_q)^k, rebased into the algebra
+    and written by ``express_hh1``, and mu is shifted back by k.
+    k = max(0, -e(1,1)) over the terms T^e of every image, and no smaller
+    k can do: the inner corners of a Cauchon path lie below row 1 and right
+    of column 1 (``tower``), so every term of an embedded element is
+    natural on the first row and column, and embed(det_q) is T^diag with
+    coefficient 1, which adds k to e(1,1).  A spec that this k does not
+    clear makes the rebase raise ``NotInSpanError``."""
     ctx = table.ctx
     require_operand("gl_express", d, DerivationSpec, ctx.n)
-    if k < 0:
-        raise ValueError("clearing power must be nonnegative")
-    det_t = embed(table, qdet(ctx))
-    factor = TorusElement.one(ctx)
+    if d.alg == "Mq":
+        return express_hh1(table, d)
+    k = max([0] + [-e[0] for img in d.images.values() for e in img.terms])
+    det_t, factor = embed(table, qdet(ctx)), TorusElement.one(ctx)
     for _ in range(k):
         factor = factor * det_t
-    images = {}
-    for gen in ctx.generators:
-        img = d.images[gen]
-        if isinstance(img, MatrixAlgebraElement):
-            img = embed(table, img)
-        images[gen] = rebase_to_matrix_algebra(table, factor * img)
-    cleared = DerivationSpec(ctx, "Mq", images)
-    coords = express_hh1(table, cleared)
+    images = {
+        gen: rebase_to_matrix_algebra(table, factor * img)
+        for gen, img in d.images.items()
+    }
+    coords = express_hh1(table, DerivationSpec(ctx, "Mq", images))
     shifted = [{p - k: c for p, c in m.items()} for m in coords.mu]
     return HH1Coordinates(ctx, coords.inner, shifted, det_shift=-k)

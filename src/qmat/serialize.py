@@ -85,7 +85,7 @@ def element_from_json(data, alg: str | None = None, n: int | None = None):
             f"element has n = {data['n']}, expected {n}"
         )
     tag = data.get("alg", alg or "torus")
-    _require(tag in ALGEBRAS, f"unknown algebra tag {tag!r}")
+    _require(isinstance(tag, str) and tag in ALGEBRAS, f"unknown algebra tag {tag!r}")
     if alg is not None and tag != alg:
         raise DimensionMismatchError(
             f"element is tagged {tag!r}, expected {alg!r}"
@@ -118,7 +118,7 @@ def derivation_to_json(d: DerivationSpec) -> dict:
 def derivation_from_json(data, n: int | None = None) -> DerivationSpec:
     _require(isinstance(data, dict), "derivation spec must be an object")
     alg = data.get("alg")
-    _require(alg in ALGEBRAS, "spec needs alg Mq or torus")
+    _require(isinstance(alg, str) and alg in ALGEBRAS, "spec needs alg Mq or torus")
     _require(isinstance(data.get("images"), list), "spec needs an images list")
     dim = data.get("n")
     _require(dim is None or _int_list([dim]), "spec n must be an integer")

@@ -221,6 +221,28 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("tag", [["Mq"], {}], ids=["list", "object"])
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (["derivation", "hh1"], {"n": 2, "images": []}),
+            (["derivation", "check"], {"n": 2, "images": []}),
+            (["embed"], {"n": 2, "terms": []}),
+            (["mul"], {"n": 2, "terms": []}),
+            (["central"], {"n": 2, "terms": []}),
+        ],
+        ids=["hh1", "check", "embed", "mul", "central"],
+    )
+    def test_unhashable_algebra_tag_is_parse_error(
+        self, tmp_path, capsys, command, doc, tag
+    ):
+        path = write_json(tmp_path, "t.json", {**doc, "alg": tag})
+        paths = [path, path] if command == ["mul"] else [path]
+        code = main([*command, *paths])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         ctx2, ctx3 = build_context(2), build_context(3)
         lhs = write_json(tmp_path, "l.json", element_to_json(qdet(ctx2)))

@@ -558,7 +558,7 @@ class TestGL:
             for gen in ctx.generators
         }
         d = DerivationSpec(ctx, "torus", images)
-        coords = gl_express(t2, d, 1)
+        coords = gl_express(t2, d)
         assert coords.mu[0] == {-1: RF_ONE}
         assert coords.mu[1] == {} and coords.mu[2] == {}
         assert coords.det_shift == -1
@@ -566,7 +566,7 @@ class TestGL:
     def test_k_zero_matches_express(self, t2):
         ctx = t2.ctx
         d = basis_derivation(ctx, 2)
-        coords = gl_express(t2, d, 0)
+        coords = gl_express(t2, d)
         direct = express_hh1(t2, d)
         assert coords.mu == direct.mu
         assert coords.det_shift == 0
@@ -581,5 +581,5 @@ class TestGL:
             g = embed(t2, Y(ctx, *gen))
             images[gen] = x * g - g * x
         spec = DerivationSpec(ctx, "torus", images)
-        coords = gl_express(t2, spec, 1)
+        coords = gl_express(t2, spec)
         assert all(not m for m in coords.mu)

@@ -134,8 +134,7 @@ class TestResidualCertificate:
 
     @pytest.mark.parametrize("n, make", SPECS)
     def test_gl_express_rejects_a_wrong_weight(self, wrong_weight, n, make):
-        gl = lambda table, d: gl_express(table, d, 0)  # noqa: E731
-        _rejected(gl, TABLES[n], make(build_context(n)), wrong_weight)
+        _rejected(gl_express, TABLES[n], make(build_context(n)), wrong_weight)
 
     @pytest.mark.parametrize("n, make", INNER_SPECS)
     def test_express_hh1_rejects_a_wrong_inner_coefficient(
@@ -148,9 +147,8 @@ class TestResidualCertificate:
     def test_gl_express_rejects_a_wrong_inner_coefficient(
         self, wrong_inner_coefficient, n, make
     ):
-        gl = lambda table, d: gl_express(table, d, 0)  # noqa: E731
         d = make(build_context(n))
-        _rejected(gl, TABLES[n], d, wrong_inner_coefficient)
+        _rejected(gl_express, TABLES[n], d, wrong_inner_coefficient)
 
     @pytest.mark.parametrize("n, make", SPECS + INNER_SPECS)
     def test_true_inner_part_passes(self, n, make):

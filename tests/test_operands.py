@@ -228,7 +228,7 @@ def test_leibniz_extend_refuses_an_element_of_the_other_algebra():
 
 @pytest.mark.parametrize(
     "coordinates",
-    [express_hh1, lambda table, d: gl_express(table, d, 0)],
+    [express_hh1, gl_express],
     ids=["express_hh1", "gl_express"],
 )
 @pytest.mark.parametrize("spec", sorted(SPECS))

@@ -21,7 +21,7 @@ from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.serialize import hh1_to_json
 from qmat.torus import TorusElement
-from qmat.tower import StepGeneratorTable, build_table
+from qmat.tower import StepGeneratorTable, build_table, embed
 
 
 class TestCommandLine:
@@ -49,20 +49,27 @@ class TestDerivationArguments:
         with pytest.raises(NotPolynomialError):
             _weighted_basis_sum(StepGeneratorTable(build_context(2)), mu)
 
-    def test_gl_express_rejects_a_negative_clearing_power(self):
-        ctx = build_context(2)
-        with pytest.raises(ValueError, match="nonnegative"):
-            gl_express(build_table(ctx), basis_derivation(ctx, 1), -1)
-
     def test_gl_express_answer_carries_its_det_shift(self):
         ctx = build_context(2)
-        coords = gl_express(build_table(ctx), basis_derivation(ctx, 1), 1)
-        data = hh1_to_json(coords)
+        table = build_table(ctx)
+        det_inv = embed(table, qdet(ctx)).invert_monomial()
+        images = basis_derivation(ctx, 1).images
+        spec = DerivationSpec(
+            ctx, "torus", {g: det_inv * embed(table, v) for g, v in images.items()}
+        )
+        data = hh1_to_json(gl_express(table, spec))
         assert data["det_shift"] == -1
-        assert data["mu"] == [[[0, {"num": [1], "den": [1]}]], [], []]
+        assert data["mu"] == [[[-1, {"num": [1], "den": [1]}]], [], []]
         assert data["inner"]["terms"] == []
         # the whole answer is JSON
         assert json.loads(json.dumps(data)) == data
+
+    def test_gl_express_answer_of_an_mq_spec_has_no_det_shift(self):
+        ctx = build_context(2)
+        data = hh1_to_json(gl_express(build_table(ctx), basis_derivation(ctx, 1)))
+        assert "det_shift" not in data
+        assert data["mu"] == [[[0, {"num": [1], "den": [1]}]], [], []]
+        assert data["inner"]["terms"] == []
 
 
 class TestPrintedForms:

@@ -5,6 +5,8 @@ through per-value generator expressions and then built each element
 through its constructor.  For every document below, well formed or not,
 the decoders of ``qmat.serialize`` must give the same element or spec as
 the oracle, or raise the same exception class with the same message.
+The one exception is a list or object as the algebra tag, on which the
+oracle crashes with a ``TypeError`` and the decoders raise ``ParseError``.
 """
 
 import copy
@@ -39,7 +41,13 @@ def outcome(decode, doc, **kw):
 def assert_same(name, doc, **kw):
     got = outcome(getattr(serialize, name), doc, **kw)
     want = outcome(getattr(oracle, name), doc, **kw)
-    assert got == want
+    if want[0] is TypeError and want[1].startswith("unhashable type"):
+        # the one known difference: the oracle crashes on a list or object
+        # as the algebra tag, which the decoders refuse as malformed
+        assert got[0] is serialize.ParseError
+        assert got[1].startswith(("unknown algebra tag", "spec needs alg"))
+    else:
+        assert got == want
     return got
 
 
