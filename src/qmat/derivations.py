@@ -35,13 +35,20 @@ from .errors import (
     ResourceLimitError,
 )
 from .limits import check_terms
-from .matrixalg import MatrixAlgebraElement, _multiply_into, qdet, relation_report
+from .matrixalg import (
+    MatrixAlgebraElement,
+    _central_times_generator,
+    _generator_into,
+    qdet,
+    relation_report,
+)
 from .rational import RF_ONE, RationalFunction
 from .sparse import ExponentVector, add_into, require_operand, unit_exponent
 from .torus import TorusElement, commutation_exponent, is_central_monomial
 from .tower import (
     StepGeneratorTable,
     _det_multiple,
+    _det_power,
     embed,
     rebase_to_matrix_algebra,
 )
@@ -55,7 +62,7 @@ class DerivationSpec:
     __slots__ = ("ctx", "cls", "images")
 
     def __init__(self, ctx: AlgebraContext, alg: str, images: dict):
-        if alg not in ALGEBRAS:
+        if not isinstance(alg, str) or alg not in ALGEBRAS:
             raise ValueError(f"unknown algebra tag {alg!r}")
         self.ctx = ctx
         self.cls = cls = ALGEBRAS[alg]
@@ -476,7 +483,9 @@ def _divide_inner_part(
     weight(term) - weight(Y_g) over the accumulators, and a term Y^e of
     value m in acc[g] comes from the term Y^h of x, h = e - e_g.  Each such
     c_h is read at the leader of h, and adding every c_h [Y^h, Y_g] to every
-    acc[g] leaves only values below m.  An h with a negative entry, an h
+    acc[g] leaves only values below m: one ``_generator_into`` per generator
+    forms both sides of the bracket in one pass over the new terms of x.
+    An h with a negative entry, an h
     whose brackets have no leading term (a diagonal power: B kills no other
     natural exponent), or a term of value m or more that survives means
     that no such x exists.
@@ -487,6 +496,7 @@ def _divide_inner_part(
     weight: dict[ExponentVector, int] = {}
     inner: dict[ExponentVector, RationalFunction] = {}
     bound = None
+    minus_one = -RF_ONE
     while True:
         values = {}
         for gen, terms in acc.items():
@@ -511,11 +521,8 @@ def _divide_inner_part(
             c = acc[g].get(tuple(map(add, h, units[g])))
             if c is not None:
                 xs[h] = -c / kappa
-        minus = {h: -c for h, c in xs.items()}
         for gen, terms in acc.items():
-            y = {units[gen]: RF_ONE}
-            _multiply_into(terms, ctx, xs, y)
-            _multiply_into(terms, ctx, y, minus)
+            _generator_into(terms, ctx, ctx.flat(*gen), xs, RF_ONE, minus_one)
         inner.update(xs)
         bound = top
 
@@ -559,12 +566,14 @@ def _cell_weights(ctx: AlgebraContext, mu: list[DetPolynomial]):
 
 def _weighted_images(table: StepGeneratorTable, mu: list[DetPolynomial]):
     """(gen, terms of W(gen)) for W = sum_j mu_j(det_q) * D_j, generator by
-    generator, from the table's store of det_q multiples.
+    generator.
 
     Y(i,a) maps to the sum of w_k * det_q^k * Y(i,a), w = w(i,a) of
-    ``_cell_weights``.  det_q^k * Y(i,a) = det_q * (det_q^(k-1) * Y(i,a))
-    sums entries det_q * Y^h of the store the det_q division fills
-    (``tower._det_multiple``): plain Mq products, so the residual of
+    ``_cell_weights``.  At k = 1 that product is read, uncopied, from the
+    store of det_q multiples that the det_q division fills
+    (``tower._det_multiple``); at k >= 2 det_q^k is formed once per table
+    (``tower._det_power``) and multiplied by Y(i,a) from the side with
+    fewer cut parts.  Both are exact Mq products, so the residual of
     ``express_hh1`` stays an Mq certificate.
     """
     ctx = table.ctx
@@ -574,16 +583,17 @@ def _weighted_images(table: StepGeneratorTable, mu: list[DetPolynomial]):
     if any(k < 0 for m in mu for k in m):
         raise NotPolynomialError("negative determinant power in the algebra")
     for gen, weight in _cell_weights(ctx, mu):
-        power, image = MatrixAlgebraElement.generator(ctx, gen).terms, {}
-        for k in range(max(weight, default=-1) + 1):
-            if k:
-                power, previous = {}, power
-                for h, c in previous.items():
-                    for e, ce in _det_multiple(table, h).terms.items():
-                        add_into(power, e, ce * c)
-                    check_terms(len(power), "det_q power multiple")
-            for e, ce in power.items() if k in weight else ():
+        y, image = unit_exponent(ctx, gen), {}
+        for k in sorted(weight):
+            if k == 0:
+                power = {y: RF_ONE}
+            elif k == 1:
+                power = _det_multiple(table, y).terms
+            else:
+                power = _central_times_generator(_det_power(table, k), y.index(1)).terms
+            for e, ce in power.items():
                 add_into(image, e, ce * weight[k])
+            check_terms(len(image), "det_q power multiple")
         yield gen, image
 
 

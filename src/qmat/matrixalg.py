@@ -19,6 +19,20 @@ swept once, after all its summands have arrived, and the straightening
 terminates because the words of a given length are finitely many.
 Associativity is exercised by the test suite and, more strongly, by the
 torus-embedding homomorphism check.
+
+A product with one generator Y_k = Y(i,a) as a factor straightens only the
+rows that the generator shares with each monomial (``_generator_into``).
+Every defining relation keeps the multiset of rows of a word, so the
+normal form of a word whose letters lie in rows <= i has its letters in
+those rows too, each before every letter of a lower row.  With P the
+letters of Y^g in rows <= i and S the rest, and P' those in rows < i and
+S' the rest, normal forms being unique,
+
+    Y_k Y^g = NF(Y_k P) S        Y^g Y_k = P' NF(S' Y_k)
+
+and the product is the single term Y^(g + e_k) when no letter of P comes
+before k, or no letter of S' after it.  Many terms share a cut part, and
+each distinct one is straightened once per product.
 """
 
 from __future__ import annotations
@@ -38,9 +52,11 @@ QDIFF = RationalFunction.q_power(1) - RationalFunction.q_power(-1)
 _MINUS_QDIFF = -QDIFF
 
 
-def _word_of(exp: ExponentVector) -> tuple[int, ...]:
+def _word_of(exp: ExponentVector, start: int = 0) -> tuple[int, ...]:
+    """The sorted word of an exponent vector whose first entry is at flat
+    position ``start``."""
     word = []
-    for k, e in enumerate(exp):
+    for k, e in enumerate(exp, start):
         word.extend([k] * e)
     return tuple(word)
 
@@ -132,14 +148,78 @@ class MatrixAlgebraElement(SparseElement):
 
 
 def _multiply_into(acc: dict, ctx: AlgebraContext, xs: dict, ys: dict) -> None:
-    """acc += x * y for term dicts xs, ys: one ``normalize_word`` per term pair."""
+    """acc += x * y for term dicts xs, ys.  A factor that is one degree-1
+    monomial goes to ``_generator_into``; otherwise each term pair is one
+    ``normalize_word`` of the whole concatenated word."""
+    if len(ys) == 1:
+        ((d, cd),) = ys.items()
+        if sum(d) == 1:
+            return _generator_into(acc, ctx, d.index(1), xs, cd, None)
+    if len(xs) == 1:
+        ((g, cg),) = xs.items()
+        if sum(g) == 1:
+            return _generator_into(acc, ctx, g.index(1), ys, None, cg)
+    words = [(_word_of(d), cd) for d, cd in ys.items()]
     for g, cg in xs.items():
         wg = _word_of(g)
-        for d, cd in ys.items():
+        for wd, cd in words:
             c = cg * cd
-            for exp, coeff in normalize_word(ctx, wg + _word_of(d)).items():
+            for exp, coeff in normalize_word(ctx, wg + wd).items():
                 add_into(acc, exp, c * coeff)
             check_terms(len(acc), "quantum-matrix product")
+
+
+def _generator_into(
+    acc: dict, ctx: AlgebraContext, k: int, xs: dict, right, left
+) -> None:
+    """acc += right * x Y_k + left * Y_k x for x = sum xs and the generator
+    Y_k at flat position k, skipping a side whose scale is None: the
+    one-sided rule of the module docstring, each distinct cut part
+    straightened once."""
+    lo = k - k % ctx.n  # the rows before the generator's end here
+    hi = lo + ctx.n  # and its own row here
+    rights: dict = {}
+    lefts: dict = {}
+    for g, c in xs.items():
+        if right is not None:
+            cr = c * right
+            if any(g[k + 1 :]):
+                cut = g[lo:]
+                nf = rights.get(cut)
+                if nf is None:
+                    nf = rights[cut] = normalize_word(ctx, _word_of(cut, lo) + (k,))
+                head = g[:lo]
+                for e, v in nf.items():
+                    add_into(acc, head + e[lo:], cr * v)
+            else:
+                add_into(acc, (*g[:k], g[k] + 1, *g[k + 1 :]), cr)
+        if left is not None:
+            cl = c * left
+            if any(g[:k]):
+                cut = g[:hi]
+                nf = lefts.get(cut)
+                if nf is None:
+                    nf = lefts[cut] = normalize_word(ctx, (k, *_word_of(cut)))
+                tail = g[hi:]
+                for e, v in nf.items():
+                    add_into(acc, e[:hi] + tail, cl * v)
+            else:
+                add_into(acc, (*g[:k], g[k] + 1, *g[k + 1 :]), cl)
+        check_terms(len(acc), "quantum-matrix product")
+
+
+def _central_times_generator(z: MatrixAlgebraElement, k: int) -> MatrixAlgebraElement:
+    """z Y_k for a central z (so z Y_k = Y_k z), from the side where z's
+    terms have fewer distinct cut parts: rows <= i on the left, rows >= i
+    on the right."""
+    ctx = z.ctx
+    lo = k - k % ctx.n
+    out = MatrixAlgebraElement(ctx)
+    if len({g[: lo + ctx.n] for g in z.terms}) < len({g[lo:] for g in z.terms}):
+        _generator_into(out.terms, ctx, k, z.terms, None, RF_ONE)
+    else:
+        _generator_into(out.terms, ctx, k, z.terms, RF_ONE, None)
+    return out
 
 
 # ---------------------------------------------------------------------------

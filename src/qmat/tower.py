@@ -34,8 +34,8 @@ i_k -> a_k, of the product of the paths in row order.  ``embed`` takes
 this sum for every input that is a scalar times a minor of size >= 2.
 Every other input is divided by the central det_q first, whose image is
 that sum too, and the remainder is summed from the images of its
-monomials, cached in the table.  Each det_q * Y^g of the division is a
-plain Mq product, kept in the table's one store of det_q multiples
+monomials, cached in the table.  Each det_q * Y^g of the division is an
+Mq product, kept in the table's one store of det_q multiples
 (``_det_multiple``), which the HH^1 residual reads too."""
 
 from __future__ import annotations
@@ -47,7 +47,14 @@ from operator import add, mul, sub
 from .context import AlgebraContext, GeneratorIndex, StepIndex, sweep_cells
 from .errors import IndexOutOfRangeError, NotAMonomialError, NotInSpanError
 from .limits import check_terms
-from .matrixalg import MatrixAlgebraElement, _inversions, b_minor, qdet, relation_report
+from .matrixalg import (
+    MatrixAlgebraElement,
+    _central_times_generator,
+    _inversions,
+    b_minor,
+    qdet,
+    relation_report,
+)
 from .rational import RF_ONE, RationalFunction
 from .sparse import (
     ExponentVector,
@@ -68,6 +75,7 @@ class StepGeneratorTable:
         self._top: dict[GeneratorIndex, TorusElement] = {}
         self._embed_cache: dict[ExponentVector, TorusElement] = {}
         self._det_multiples: dict[ExponentVector, MatrixAlgebraElement] = {}
+        self._det_powers: list[MatrixAlgebraElement] = []
         self._det_image: TorusElement | None = None
 
     @cached_property
@@ -361,13 +369,33 @@ def _divide_by_det(
 
 def _det_multiple(table: StepGeneratorTable, g: ExponentVector) -> MatrixAlgebraElement:
     """det_q * Y^g from the table's one store of det_q multiples, kept from
-    the plain Mq product that first forms it; det_q itself is kept at g = 0."""
-    products, zero = table._det_multiples, zero_exponents(table.ctx)
+    the Mq product that first forms it; det_q itself is kept at g = 0.
+
+    At a generator key the product is formed from the side with fewer
+    distinct cut parts (``matrixalg._central_times_generator``), which is
+    sound because det_q is central: det_q Y(i,a) = Y(i,a) det_q."""
+    ctx = table.ctx
+    products, zero = table._det_multiples, zero_exponents(ctx)
     if zero not in products:
-        products[zero] = qdet(table.ctx)
+        products[zero] = qdet(ctx)
     if g not in products:
-        products[g] = products[zero] * MatrixAlgebraElement.monomial(table.ctx, g)
+        det = products[zero]
+        if sum(g) == 1:
+            products[g] = _central_times_generator(det, g.index(1))
+        else:
+            products[g] = det * MatrixAlgebraElement.monomial(ctx, g)
     return products[g]
+
+
+def _det_power(table: StepGeneratorTable, k: int) -> MatrixAlgebraElement:
+    """det_q^k for k >= 1, each power formed once per table as
+    det_q^(k-1) * det_q; det_q is the store's entry at g = 0."""
+    powers = table._det_powers
+    if not powers:
+        powers.append(_det_multiple(table, zero_exponents(table.ctx)))
+    while len(powers) < k:
+        powers.append(powers[-1] * powers[0])
+    return powers[k - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The table's one store of det_q multiples, read by the det_q division and
-by the HH^1 residual.
+by the HH^1 residual, and its powers det_q^k.
 
 ``_weighted_basis_sum`` builds sum_j mu_j(det_q) D_j from the entries
-det_q * Y^g that ``tower._det_multiple`` keeps in the table, with
-det_q^k * Y^g = det_q * (det_q^(k-1) * Y^g).  These tests compare it with
-the straightened oracle in ``basis_sum_oracle.py``, check that a corrupt
-store entry never yields an answer, and check the term limit on the way.
+det_q * Y(i,a) that ``tower._det_multiple`` keeps in the table and, for
+k >= 2, from det_q^k (``tower._det_power``, formed once per table) times
+Y(i,a).  These tests compare it with the straightened oracle in
+``basis_sum_oracle.py``, check that a corrupt store entry or power never
+yields an answer, and check the term limit on the way.
 """
 
 import random
@@ -78,46 +79,55 @@ def test_the_residual_reads_what_the_lift_stored():
 # a corrupt store entry never yields an answer
 
 
-def _spec(ctx, kind):
-    """A spec whose residual reads det_q * Y(gen), and that gen: the reader
-    of a D_j whose weight has a det_q term."""
+def _spec(ctx, kind, power):
+    """A spec whose residual reads det_q^power * Y(gen), and that gen: the
+    reader of a D_j whose weight has a det_q^power term."""
     n = ctx.n
     if kind == "det_q D_1":
         x = MatrixAlgebraElement(ctx)
-        mu = [{1: RF_ONE}] + [{} for _ in range(2 * n - 2)]
+        mu = [{power: RF_ONE}] + [{} for _ in range(2 * n - 2)]
     else:
         rng = random.Random(1729 + n)
         x = _random_matrix_element(ctx, rng)
-        mu = [_random_mu_poly(ctx, rng) for _ in range(2 * n - 1)]
-    j = next(j for j, m in enumerate(mu) if 1 in m)
+        mu = [_random_mu_poly(ctx, rng, power) for _ in range(2 * n - 1)]
+    j = next(j for j, m in enumerate(mu) if power in m)
     return ad(x) + straightened_basis_sum(ctx, mu), _readers(n)[j]
 
 
-def _corrupt(table, gen):
-    """Multiply the first coefficient of the stored det_q * Y(gen) by q."""
-    terms = table._det_multiples[unit_exponent(table.ctx, gen)].terms
+def _corrupt(table, gen, power):
+    """Multiply the first coefficient of the stored det_q * Y(gen), or of
+    det_q^power when power >= 2, by q."""
+    if power == 1:
+        terms = table._det_multiples[unit_exponent(table.ctx, gen)].terms
+    else:
+        terms = table._det_powers[power - 1].terms
     exp = next(iter(terms))
     terms[exp] = terms[exp] * Q(1)
 
 
 CORRUPTIONS = [
-    pytest.param(n, kind, id=f"{kind.replace(' ', '-')}-n{n}")
+    pytest.param(
+        n, kind, power, id=f"{kind.replace(' ', '-')}-n{n}" + "-squared" * (power - 1)
+    )
     for n in (2, 3)
     for kind in ("det_q D_1", "suite-style")
+    for power in (1, 2)
 ]
 
 
-@pytest.mark.parametrize("n, kind", CORRUPTIONS)
-def test_an_entry_corrupted_after_the_mu_read_fails_the_residual(n, kind, monkeypatch):
+@pytest.mark.parametrize("n, kind, power", CORRUPTIONS)
+def test_an_entry_corrupted_after_the_mu_read_fails_the_residual(
+    n, kind, power, monkeypatch
+):
     ctx = build_context(n)
     table = build_table(ctx)
-    d, gen = _spec(ctx, kind)
-    expected = express_hh1(table, d)  # warm-up: the store now holds det_q * Y(gen)
+    d, gen = _spec(ctx, kind, power)
+    expected = express_hh1(table, d)  # warm-up: the table now holds the entry
     read = derivations._read_mu
 
     def corrupting(d):
         mu = read(d)
-        _corrupt(table, gen)
+        _corrupt(table, gen, power)
         return mu
 
     monkeypatch.setattr(derivations, "_read_mu", corrupting)
@@ -127,27 +137,27 @@ def test_an_entry_corrupted_after_the_mu_read_fails_the_residual(n, kind, monkey
     assert read(d) == expected.mu
 
 
-@pytest.mark.parametrize("n, kind", CORRUPTIONS)
-def test_an_entry_corrupted_before_the_call_yields_no_answer(n, kind):
+@pytest.mark.parametrize("n, kind, power", CORRUPTIONS)
+def test_an_entry_corrupted_before_the_call_yields_no_answer(n, kind, power):
     # the residual's W reads the entry, and mu is read off d, so W differs
     # from the W of d and the division cannot empty the accumulator
     ctx = build_context(n)
     table = build_table(ctx)
-    d, gen = _spec(ctx, kind)
+    d, gen = _spec(ctx, kind, power)
     express_hh1(table, d)
-    _corrupt(table, gen)
+    _corrupt(table, gen, power)
     with pytest.raises(QmatError):
         express_hh1(table, d)
 
 
-@pytest.mark.parametrize("n, kind", CORRUPTIONS)
-def test_a_det_q_scaled_by_a_constant_yields_no_answer(n, kind):
-    # every det_q * Y^g is then built from q * det_q, so a mu divided by the
-    # stored leading coefficient would cancel the scale and return mu / q;
-    # mu's q-powers come from B, so the residual fails instead
+@pytest.mark.parametrize("n, kind, power", CORRUPTIONS)
+def test_a_det_q_scaled_by_a_constant_yields_no_answer(n, kind, power):
+    # every det_q * Y(i,a) and det_q^k is then built from q * det_q, so a mu
+    # divided by the stored leading coefficient would cancel the scale and
+    # return mu / q^k; mu's q-powers come from B, so the residual fails
     ctx = build_context(n)
     table = build_table(ctx)
-    d, _ = _spec(ctx, kind)
+    d, _ = _spec(ctx, kind, power)
     det = _det_multiple(table, zero_exponents(ctx)).terms
     for exp in det:
         det[exp] = det[exp] * Q(1)

@@ -5,6 +5,7 @@ printed forms are pinned exactly.
 """
 
 import json
+import re
 
 import pytest
 
@@ -43,6 +44,11 @@ class TestDerivationArguments:
     def test_spec_of_an_unknown_algebra(self):
         with pytest.raises(ValueError, match="unknown algebra tag 'bad'"):
             DerivationSpec(build_context(2), "bad", {})
+
+    @pytest.mark.parametrize("tag", [["Mq"], {"alg": "Mq"}, None, 1])
+    def test_spec_of_a_tag_that_is_not_a_string(self, tag):
+        with pytest.raises(ValueError, match=re.escape(f"unknown algebra tag {tag!r}")):
+            DerivationSpec(build_context(2), tag, {})
 
     def test_weighted_basis_sum_rejects_a_negative_power(self):
         mu = [{}, {-1: RF_ONE}, {}]

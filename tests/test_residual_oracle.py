@@ -207,7 +207,7 @@ def test_a_term_without_its_generator_is_rejected_before_any_product(n, monkeypa
     acc[(2, 2)] = {(0,) * (n * n): RF_ONE}
     calls = []
     monkeypatch.setattr(derivations, "_bracket_leader", lambda *a: calls.append(a))
-    monkeypatch.setattr(derivations, "_multiply_into", lambda *a: calls.append(a))
+    monkeypatch.setattr(derivations, "_generator_into", lambda *a: calls.append(a))
     with pytest.raises(ConditionViolatedError, match=RESIDUAL):
         derivations._divide_inner_part(ctx, acc)
     assert calls == []
