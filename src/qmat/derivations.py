@@ -35,20 +35,14 @@ from .errors import (
     ResourceLimitError,
 )
 from .limits import check_terms
-from .matrixalg import (
-    MatrixAlgebraElement,
-    _central_times_generator,
-    _generator_into,
-    qdet,
-    relation_report,
-)
+from .matrixalg import MatrixAlgebraElement, _generator_into, qdet, relation_report
 from .rational import RF_ONE, RationalFunction
 from .sparse import ExponentVector, add_into, require_operand, unit_exponent
 from .torus import TorusElement, commutation_exponent, is_central_monomial
 from .tower import (
     StepGeneratorTable,
+    _det_image,
     _det_multiple,
-    _det_power,
     embed,
     rebase_to_matrix_algebra,
 )
@@ -297,7 +291,8 @@ def lift_to_torus(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpe
     Every term of embed(Y(i,a)) has row sums e_i and column sums e_a, and
     the weight of D_j at a cell is a row part plus a column part, so D_j
     lifts to T_a -> w_j(a) T_a; embed(det_q) is a central monomial, so
-    mu_j(det_q) D_j lifts to the central scaling by mu_j(embed(det_q)) w_j.
+    mu_j(det_q) D_j lifts to the central scaling by mu_j(embed(det_q)) w_j,
+    each power embed(det_q)^k read from ``tower._det_image``.
     A derivation has only one extension to the torus, so this is it, and
     the zero residual of ``express_hh1`` is its one certificate.
     """
@@ -306,12 +301,9 @@ def lift_to_torus(table: StepGeneratorTable, d: DerivationSpec) -> DerivationSpe
     if d.alg != "Mq":
         raise DimensionMismatchError("lift_to_torus expects a quantum-matrix spec")
     coords = express_hh1(table, d)
-    det, powers = embed(table, qdet(ctx)), [TorusElement.one(ctx)]
     z = {}
     for gen, weight in _cell_weights(ctx, coords.mu):
-        while len(powers) <= max(weight, default=0):
-            powers.append(powers[-1] * det)
-        terms = (powers[k].scale(c) for k, c in weight.items())
+        terms = (_det_image(table, k).scale(c) for k, c in weight.items())
         z[gen] = sum(terms, TorusElement(ctx))
     return ad(embed(table, coords.inner)) + central_scaling_spec(ctx, z)
 
@@ -569,12 +561,10 @@ def _weighted_images(table: StepGeneratorTable, mu: list[DetPolynomial]):
     generator.
 
     Y(i,a) maps to the sum of w_k * det_q^k * Y(i,a), w = w(i,a) of
-    ``_cell_weights``.  At k = 1 that product is read, uncopied, from the
-    store of det_q multiples that the det_q division fills
-    (``tower._det_multiple``); at k >= 2 det_q^k is formed once per table
-    (``tower._det_power``) and multiplied by Y(i,a) from the side with
-    fewer cut parts.  Both are exact Mq products, so the residual of
-    ``express_hh1`` stays an Mq certificate.
+    ``_cell_weights``.  For k >= 1 that product is
+    ``tower._det_multiple(table, k, Y(i,a))``, read uncopied at k = 1 from
+    the store that the det_q division fills.  It is an exact Mq product,
+    so the residual of ``express_hh1`` stays an Mq certificate.
     """
     ctx = table.ctx
     n = ctx.n
@@ -585,12 +575,7 @@ def _weighted_images(table: StepGeneratorTable, mu: list[DetPolynomial]):
     for gen, weight in _cell_weights(ctx, mu):
         y, image = unit_exponent(ctx, gen), {}
         for k in sorted(weight):
-            if k == 0:
-                power = {y: RF_ONE}
-            elif k == 1:
-                power = _det_multiple(table, y).terms
-            else:
-                power = _central_times_generator(_det_power(table, k), y.index(1)).terms
+            power = _det_multiple(table, k, y).terms if k else {y: RF_ONE}
             for e, ce in power.items():
                 add_into(image, e, ce * weight[k])
             check_terms(len(image), "det_q power multiple")
@@ -648,8 +633,9 @@ def gl_express(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     det_q^-1 factors, given as a torus spec on the quantum-matrix generators
     (an Mq spec has the coordinates of ``express_hh1``).
 
-    The images are multiplied by embed(det_q)^k, rebased into the algebra
-    and written by ``express_hh1``, and mu is shifted back by k.
+    The images are multiplied by embed(det_q)^k (``tower._det_image``),
+    rebased into the algebra and written by ``express_hh1``, and mu is
+    shifted back by k.
     k = max(0, -e(1,1)) over the terms T^e of every image, and no smaller
     k can do: the inner corners of a Cauchon path lie below row 1 and right
     of column 1 (``tower``), so every term of an embedded element is
@@ -661,9 +647,7 @@ def gl_express(table: StepGeneratorTable, d: DerivationSpec) -> HH1Coordinates:
     if d.alg == "Mq":
         return express_hh1(table, d)
     k = max([0] + [-e[0] for img in d.images.values() for e in img.terms])
-    det_t, factor = embed(table, qdet(ctx)), TorusElement.one(ctx)
-    for _ in range(k):
-        factor = factor * det_t
+    factor = _det_image(table, k)
     images = {
         gen: rebase_to_matrix_algebra(table, factor * img)
         for gen, img in d.images.items()

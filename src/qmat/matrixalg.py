@@ -174,38 +174,40 @@ def _generator_into(
 ) -> None:
     """acc += right * x Y_k + left * Y_k x for x = sum xs and the generator
     Y_k at flat position k, skipping a side whose scale is None: the
-    one-sided rule of the module docstring, each distinct cut part
-    straightened once."""
+    one-sided rule of the module docstring.  The terms of x are grouped by
+    cut part, and each part is straightened once and its normal form
+    dropped when its group is done.  A group lists only exponent vectors:
+    a (part, coefficient) pair per term made express_hh1 at n = 7 slower."""
     lo = k - k % ctx.n  # the rows before the generator's end here
     hi = lo + ctx.n  # and its own row here
     rights: dict = {}
     lefts: dict = {}
     for g, c in xs.items():
         if right is not None:
-            cr = c * right
             if any(g[k + 1 :]):
-                cut = g[lo:]
-                nf = rights.get(cut)
-                if nf is None:
-                    nf = rights[cut] = normalize_word(ctx, _word_of(cut, lo) + (k,))
-                head = g[:lo]
-                for e, v in nf.items():
-                    add_into(acc, head + e[lo:], cr * v)
+                rights.setdefault(g[lo:], []).append(g)
             else:
-                add_into(acc, (*g[:k], g[k] + 1, *g[k + 1 :]), cr)
+                add_into(acc, (*g[:k], g[k] + 1, *g[k + 1 :]), c * right)
         if left is not None:
-            cl = c * left
             if any(g[:k]):
-                cut = g[:hi]
-                nf = lefts.get(cut)
-                if nf is None:
-                    nf = lefts[cut] = normalize_word(ctx, (k, *_word_of(cut)))
-                tail = g[hi:]
-                for e, v in nf.items():
-                    add_into(acc, e[:hi] + tail, cl * v)
+                lefts.setdefault(g[:hi], []).append(g)
             else:
-                add_into(acc, (*g[:k], g[k] + 1, *g[k + 1 :]), cl)
+                add_into(acc, (*g[:k], g[k] + 1, *g[k + 1 :]), c * left)
         check_terms(len(acc), "quantum-matrix product")
+    for cut, group in rights.items():
+        nf = normalize_word(ctx, _word_of(cut, lo) + (k,))
+        for g in group:
+            head, c = g[:lo], xs[g] * right
+            for e, v in nf.items():
+                add_into(acc, head + e[lo:], c * v)
+            check_terms(len(acc), "quantum-matrix product")
+    for cut, group in lefts.items():
+        nf = normalize_word(ctx, (k, *_word_of(cut)))
+        for g in group:
+            tail, c = g[hi:], xs[g] * left
+            for e, v in nf.items():
+                add_into(acc, e[:hi] + tail, c * v)
+            check_terms(len(acc), "quantum-matrix product")
 
 
 def _central_times_generator(z: MatrixAlgebraElement, k: int) -> MatrixAlgebraElement:

@@ -34,9 +34,12 @@ i_k -> a_k, of the product of the paths in row order.  ``embed`` takes
 this sum for every input that is a scalar times a minor of size >= 2.
 Every other input is divided by the central det_q first, whose image is
 that sum too, and the remainder is summed from the images of its
-monomials, cached in the table.  Each det_q * Y^g of the division is an
-Mq product, kept in the table's one store of det_q multiples
-(``_det_multiple``), which the HH^1 residual reads too."""
+monomials, cached in the table.  The computations read every det_q
+product from one of two functions (the checks form their own):
+``_det_multiple``, det_q^k * Y^g from the table's one store of Mq
+products, for the det_q division and the HH^1 residual, and
+``_det_image``, embed(det_q)^k from the path-system sum the table keeps,
+for the embedding, the lift and ``gl_express``."""
 
 from __future__ import annotations
 
@@ -74,8 +77,7 @@ class StepGeneratorTable:
         self.ctx = ctx
         self._top: dict[GeneratorIndex, TorusElement] = {}
         self._embed_cache: dict[ExponentVector, TorusElement] = {}
-        self._det_multiples: dict[ExponentVector, MatrixAlgebraElement] = {}
-        self._det_powers: list[MatrixAlgebraElement] = []
+        self._det_multiples: dict[tuple[int, ExponentVector], MatrixAlgebraElement] = {}
         self._det_image: TorusElement | None = None
 
     @cached_property
@@ -311,10 +313,9 @@ def _path_systems(table: StepGeneratorTable, rows, cols) -> TorusElement:
 def _embed_product(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     """``embed`` of an input that is not a quantum minor: with
     x = det_q * y + r (``_divide_by_det``), embed(det_q) * embed(y) plus
-    c * image(h) summed over the terms c * Y^h of r.  embed(det_q) is the
-    path-system sum, which does not assume it is Delta_n; it and each
-    image(h), ``embed_monomial_at_step`` at the top step, are built the
-    first time the table uses them and kept.
+    c * image(h) summed over the terms c * Y^h of r.  embed(det_q) comes
+    from ``_det_image``, and each image(h), ``embed_monomial_at_step`` at
+    the top step, is built the first time the table uses it and kept.
     """
     ctx = table.ctx
     y, r = _divide_by_det(table, x)
@@ -327,10 +328,7 @@ def _embed_product(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusE
         for e, c in img.terms.items():
             add_into(result.terms, e, c * coeff)
     if y:
-        if table._det_image is None:
-            span = range(1, ctx.n + 1)
-            table._det_image = _path_systems(table, span, span)
-        result = result + table._det_image * _embed_product(table, y)
+        result = result + _det_image(table, 1) * _embed_product(table, y)
     return result
 
 
@@ -345,8 +343,8 @@ def _divide_by_det(
     diagonal, with coefficient 1, and straightening only lowers the weight,
     so det_q * Y^g is kappa * Y^(g + diagonal) plus lighter terms, kappa a
     power of q.  Subtracting such a product removes the heaviest term that
-    the diagonal divides and adds only lighter ones.  det_q * Y^g comes
-    from ``_det_multiple``, the store that the HH^1 residual reads too.
+    the diagonal divides and adds only lighter ones.  det_q * Y^g is
+    ``_det_multiple(table, 1, g)``, which the HH^1 residual reads too.
     """
     ctx = table.ctx
     weights = [i * a for i, a in ctx.generators]
@@ -359,7 +357,7 @@ def _divide_by_det(
             return MatrixAlgebraElement(ctx, y), MatrixAlgebraElement(ctx, rest)
         h = max(divisible, key=lambda h: sum(map(mul, weights, h)))
         g = tuple(map(sub, h, diagonal))
-        product = _det_multiple(table, g)
+        product = _det_multiple(table, 1, g)
         y[g] = coeff = rest.pop(h) / product.terms[h]
         for e, c in product.terms.items():
             if e != h:
@@ -367,35 +365,48 @@ def _divide_by_det(
         check_terms(len(rest), "det_q division remainder")
 
 
-def _det_multiple(table: StepGeneratorTable, g: ExponentVector) -> MatrixAlgebraElement:
-    """det_q * Y^g from the table's one store of det_q multiples, kept from
-    the Mq product that first forms it; det_q itself is kept at g = 0.
-
-    At a generator key the product is formed from the side with fewer
-    distinct cut parts (``matrixalg._central_times_generator``), which is
-    sound because det_q is central: det_q Y(i,a) = Y(i,a) det_q."""
-    ctx = table.ctx
-    products, zero = table._det_multiples, zero_exponents(ctx)
-    if zero not in products:
-        products[zero] = qdet(ctx)
-    if g not in products:
-        det = products[zero]
-        if sum(g) == 1:
-            products[g] = _central_times_generator(det, g.index(1))
+def _det_multiple(
+    table: StepGeneratorTable, k: int, g: ExponentVector
+) -> MatrixAlgebraElement:
+    """det_q^k * Y^g for k >= 1 from the table's one store, keyed by (k, g):
+    det_q at (1, 0), det_q^k as det_q^(k-1) * det_q, det_q^k * Y(i,a) from
+    the side with fewer cut parts (``matrixalg._central_times_generator``,
+    sound as det_q is central), any other g by one Mq product.  det_q^k
+    and det_q * Y^g are kept; det_q^k * Y^g for k >= 2 is formed per call."""
+    ctx, products = table.ctx, table._det_multiples
+    product = products.get((k, g))
+    if product is not None:
+        return product
+    zero = zero_exponents(ctx)
+    if g == zero:
+        if k == 1:
+            product = qdet(ctx)
         else:
-            products[g] = det * MatrixAlgebraElement.monomial(ctx, g)
-    return products[g]
+            product = _det_multiple(table, k - 1, zero) * _det_multiple(table, 1, zero)
+    else:
+        det = _det_multiple(table, k, zero)
+        if sum(g) == 1:
+            product = _central_times_generator(det, g.index(1))
+        else:
+            product = det * MatrixAlgebraElement.monomial(ctx, g)
+        if k > 1:
+            return product
+    products[k, g] = product
+    return product
 
 
-def _det_power(table: StepGeneratorTable, k: int) -> MatrixAlgebraElement:
-    """det_q^k for k >= 1, each power formed once per table as
-    det_q^(k-1) * det_q; det_q is the store's entry at g = 0."""
-    powers = table._det_powers
-    if not powers:
-        powers.append(_det_multiple(table, zero_exponents(table.ctx)))
-    while len(powers) < k:
-        powers.append(powers[-1] * powers[0])
-    return powers[k - 1]
+def _det_image(table: StepGeneratorTable, k: int) -> TorusElement:
+    """embed(det_q)^k for k >= 0.  embed(det_q), the full-span path-system
+    sum, which does not assume it is Delta_n, is formed once per table and
+    kept; its powers are torus products that are not kept."""
+    image = table._det_image
+    if image is None:
+        span = range(1, table.ctx.n + 1)
+        image = table._det_image = _path_systems(table, span, span)
+    power = image if k else TorusElement.one(table.ctx)
+    for _ in range(k - 1):
+        power = power * image
+    return power
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""The table's one store of det_q multiples, read by the det_q division and
-by the HH^1 residual, and its powers det_q^k.
+"""The table's one store of det_q products, read by the det_q division and
+by the HH^1 residual, and its one image of det_q, read by the embedding,
+the lift and ``gl_express``.
 
-``_weighted_basis_sum`` builds sum_j mu_j(det_q) D_j from the entries
-det_q * Y(i,a) that ``tower._det_multiple`` keeps in the table and, for
-k >= 2, from det_q^k (``tower._det_power``, formed once per table) times
-Y(i,a).  These tests compare it with the straightened oracle in
-``basis_sum_oracle.py``, check that a corrupt store entry or power never
-yields an answer, and check the term limit on the way.
+``_weighted_basis_sum`` builds sum_j mu_j(det_q) D_j from
+``tower._det_multiple(table, k, Y(i,a))``: the store keeps det_q * Y(i,a)
+and det_q^k under the keys (1, e_(i,a)) and (k, 0), and forms
+det_q^k * Y(i,a) for k >= 2 per call without keeping it.  These tests
+compare the sum with the straightened oracle in ``basis_sum_oracle.py``,
+check what the store keeps, check that a corrupt entry never yields an
+answer, check the term limit on the way, and check that a table forms
+embed(det_q) once (``tower._det_image``).  Each store entry is checked
+against the full-word product in ``test_generator_products.py``.
 """
 
 import random
@@ -14,16 +18,25 @@ import random
 import pytest
 
 import qmat.derivations as derivations
+import qmat.tower as tower
 from basis_sum_oracle import straightened_basis_sum
 from qmat.context import build_context
-from qmat.derivations import _readers, _weighted_basis_sum, ad, express_hh1
+from qmat.derivations import (
+    DerivationSpec,
+    _readers,
+    _weighted_basis_sum,
+    ad,
+    express_hh1,
+    gl_express,
+    lift_to_torus,
+)
 from qmat.errors import ConditionViolatedError, QmatError, ResourceLimitError
 from qmat.limits import restored_max_terms, set_max_terms
-from qmat.matrixalg import MatrixAlgebraElement
+from qmat.matrixalg import MatrixAlgebraElement, qdet
 from qmat.rational import RF_ONE, RationalFunction
 from qmat.sparse import unit_exponent, zero_exponents
 from qmat.suite import _random_matrix_element, _random_mu_poly
-from qmat.tower import StepGeneratorTable, _det_multiple, build_table
+from qmat.tower import StepGeneratorTable, _det_multiple, build_table, embed
 
 Q = RationalFunction.q_power
 RESIDUAL = "reconstruction residual is nonzero"
@@ -76,6 +89,53 @@ def test_the_residual_reads_what_the_lift_stored():
 
 
 # ---------------------------------------------------------------------------
+# what the store keeps
+
+
+def test_det_q_squared_times_a_generator_is_not_kept():
+    ctx = build_context(3)
+    table = StepGeneratorTable(ctx)
+    mu = [{2: RF_ONE}] + [{} for _ in range(4)]
+    _weighted_basis_sum(table, mu)
+    zero = zero_exponents(ctx)
+    assert (1, zero) in table._det_multiples
+    assert (2, zero) in table._det_multiples
+    assert not [key for key in table._det_multiples if key[0] == 2 and key[1] != zero]
+
+
+# ---------------------------------------------------------------------------
+# one image of det_q per table
+
+
+def test_a_table_forms_the_image_of_det_q_once(monkeypatch):
+    # embed of a det_q-divisible input, the lift and gl_express all read
+    # embed(det_q) from the table, so the full-span sum is formed once
+    ctx = build_context(3)
+    span = (1, 2, 3)
+    full_span = []
+    original = tower._path_systems
+
+    def counted(table, rows, cols):
+        if tuple(rows) == tuple(cols) == span:
+            full_span.append(table)
+        return original(table, rows, cols)
+
+    d = straightened_basis_sum(ctx, [{1: Q(1)}] + [{} for _ in range(4)])
+    other = build_table(ctx)
+    det_inv = embed(other, qdet(ctx)).invert_monomial()
+    torus = DerivationSpec(
+        ctx, "torus", {g: det_inv * embed(other, v) for g, v in d.images.items()}
+    )
+    monkeypatch.setattr(tower, "_path_systems", counted)
+    table = build_table(ctx)
+    y = MatrixAlgebraElement.generator(ctx, (1, 2))
+    embed(table, qdet(ctx) * y + y)
+    lift_to_torus(table, d)
+    gl_express(table, torus)
+    assert full_span == [table]
+
+
+# ---------------------------------------------------------------------------
 # a corrupt store entry never yields an answer
 
 
@@ -95,12 +155,14 @@ def _spec(ctx, kind, power):
 
 
 def _corrupt(table, gen, power):
-    """Multiply the first coefficient of the stored det_q * Y(gen), or of
-    det_q^power when power >= 2, by q."""
+    """Multiply the first coefficient of the stored det_q * Y(gen), the
+    entry (1, e_gen), or of det_q^power when power >= 2, the entry
+    (power, 0), by q."""
+    ctx = table.ctx
     if power == 1:
-        terms = table._det_multiples[unit_exponent(table.ctx, gen)].terms
+        terms = table._det_multiples[1, unit_exponent(ctx, gen)].terms
     else:
-        terms = table._det_powers[power - 1].terms
+        terms = table._det_multiples[power, zero_exponents(ctx)].terms
     exp = next(iter(terms))
     terms[exp] = terms[exp] * Q(1)
 
@@ -158,7 +220,7 @@ def test_a_det_q_scaled_by_a_constant_yields_no_answer(n, kind, power):
     ctx = build_context(n)
     table = build_table(ctx)
     d, _ = _spec(ctx, kind, power)
-    det = _det_multiple(table, zero_exponents(ctx)).terms
+    det = _det_multiple(table, 1, zero_exponents(ctx)).terms
     for exp in det:
         det[exp] = det[exp] * Q(1)
     with pytest.raises(ConditionViolatedError) as info:
@@ -183,7 +245,7 @@ def test_det_multiples_respect_the_term_limit(stored, operation):
     mu = [{1: RF_ONE}] + [{} for _ in range(4)]
     table = StepGeneratorTable(ctx)
     if stored == "det_q":
-        _det_multiple(table, zero_exponents(ctx))
+        _det_multiple(table, 1, zero_exponents(ctx))
     elif stored == "every entry":
         _weighted_basis_sum(table, mu)
     with restored_max_terms():

@@ -30,9 +30,9 @@ from qmat.matrixalg import (
     qdet,
 )
 from qmat.rational import RF_ONE, RationalFunction
-from qmat.sparse import add_into, unit_exponent
+from qmat.sparse import add_into, unit_exponent, zero_exponents
 from qmat.suite import _random_matrix_element
-from qmat.tower import StepGeneratorTable, _det_multiple, _det_power
+from qmat.tower import StepGeneratorTable, _det_multiple
 
 
 def full_word_product(x, y):
@@ -206,14 +206,14 @@ def test_det_q_times_a_generator_from_either_side(n):
         want = full_word_product(det, y)
         assert det * y == want
         assert y * det == want
-        assert _det_multiple(table, unit_exponent(ctx, gen)) == want
+        assert _det_multiple(table, 1, unit_exponent(ctx, gen)) == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_det_q_squared_times_a_generator(n):
     ctx = build_context(n)
     table = StepGeneratorTable(ctx)
-    square = _det_power(table, 2)
+    square = _det_multiple(table, 2, zero_exponents(ctx))
     if n <= 4:
         assert square == full_word_product(qdet(ctx), qdet(ctx))
         gens = ctx.generators
@@ -226,6 +226,26 @@ def test_det_q_squared_times_a_generator(n):
         if n <= 4:
             assert y * square == want
             assert square * y == want
+
+
+def _factors(ctx):
+    """Y^g for g = 0, two generators and Y(1,2) Y(2,1) Y(n,n), which is
+    not a generator."""
+    n = ctx.n
+    words = [(), (ctx.flat(1, 1),), (ctx.flat(n, 2),)]
+    words.append((ctx.flat(1, 2), ctx.flat(2, 1), ctx.flat(n, n)))
+    return [_exp_of(n * n, w) for w in words]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_det_multiples_match_the_full_word_product(n):
+    ctx = build_context(n)
+    table = StepGeneratorTable(ctx)
+    det = qdet(ctx)
+    for k, power in ((1, det), (2, full_word_product(det, det))):
+        for g in _factors(ctx):
+            y = MatrixAlgebraElement.monomial(ctx, g)
+            assert _det_multiple(table, k, g) == full_word_product(power, y), (k, g)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +270,8 @@ def _square_on_y11(n, powers):
     mu = [{} for _ in range(2 * n - 1)]
     mu[_readers(n).index((1, 1))] = {k: RF_ONE for k in powers}
     table = StepGeneratorTable(ctx)
-    _det_multiple(table, unit_exponent(ctx, (1, 1)))
-    _det_power(table, 2)
+    _det_multiple(table, 1, unit_exponent(ctx, (1, 1)))
+    _det_multiple(table, 2, zero_exponents(ctx))
     return table, mu
 
 
@@ -268,6 +288,6 @@ def test_the_image_of_a_det_q_square_respects_the_term_limit():
     # more than its len(det_q^2) terms; the image adds det_q Y(1,1) to it
     table, mu = _square_on_y11(3, [1, 2])
     with restored_max_terms():
-        set_max_terms(len(_det_power(table, 2).terms))
+        set_max_terms(len(_det_multiple(table, 2, zero_exponents(table.ctx)).terms))
         with pytest.raises(ResourceLimitError, match="det_q power multiple"):
             _weighted_basis_sum(table, mu)

@@ -220,8 +220,8 @@ def test_sl_combination_refuses_zero_the_pivot_and_2n(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_constant_weight_specs_read_no_det_q_multiple(n, monkeypatch):
-    def spy(table, h):
-        raise AssertionError(f"read det_q * Y^{h}")
+    def spy(table, k, h):
+        raise AssertionError(f"read det_q^{k} * Y^{h}")
 
     monkeypatch.setattr(qmat.derivations, "_det_multiple", spy)
     ctx = build_context(n)

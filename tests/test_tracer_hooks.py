@@ -56,3 +56,17 @@ def test_tracer_wraps_and_restores():
     assert metrics["matrixalg.products"] == 1
     assert metrics["matrixalg.normalize_calls"] == 1
     assert "qmat_bench_tracer" not in sys.modules
+
+
+def test_the_tracer_patches_every_entry_point():
+    # ``run.py --trace`` builds the tracer once these modules are loaded; a
+    # traced name that a refactor deletes must fail here, not only there
+    import qmat.linalg  # noqa: F401
+    import qmat.serialize  # noqa: F401
+
+    t = tracer.Tracer()
+    patched = {(target, name) for target, name, _original, _wrapper in t._patches}
+    for module_name, owner_name, name, _layer in tracer.ENTRY_POINTS:
+        module = sys.modules[module_name]
+        owner = module if owner_name is None else getattr(module, owner_name)
+        assert (owner, name) in patched, (module_name, owner_name, name)
