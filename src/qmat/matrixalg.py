@@ -37,6 +37,7 @@ each distinct one is straightened once per product.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations, starmap
 from math import factorial
 from operator import gt
@@ -228,15 +229,12 @@ def _central_times_generator(z: MatrixAlgebraElement, k: int) -> MatrixAlgebraEl
 # quantum determinant and minors
 
 
-def _inversions(perm) -> int:
-    return sum(starmap(gt, combinations(perm, 2)))
-
-
 def qminor(
     ctx: AlgebraContext, rows, cols
 ) -> MatrixAlgebraElement:
     """Quantum minor on the given row and column subsets: the signed
-    permutation sum with weights (-q)^{inversions}."""
+    permutation sum with weights (-q)^{inversions}, whose terms
+    ``_minor_terms`` lists (``tower.embed`` reads them there too)."""
     rows = tuple(rows)
     cols = tuple(cols)
     if len(rows) != len(cols):
@@ -248,19 +246,30 @@ def qminor(
     for v in rows + cols:
         if not (1 <= v <= ctx.n):
             raise IndexOutOfRangeError(f"index {v} outside [1, {ctx.n}]")
-    t = len(rows)
     # distinct permutations give distinct exponent vectors: t! terms
-    check_terms(factorial(t), "quantum minor")
-    terms = {}
-    nn = ctx.n * ctx.n
+    check_terms(factorial(len(rows)), "quantum minor")
+    return MatrixAlgebraElement(ctx, dict(_minor_terms(ctx, rows, cols)))
+
+
+def _minor_terms(ctx: AlgebraContext, rows, cols):
+    """(exponents, (-q)^inversions) for each permutation p, the term
+    Y(rows[0], cols[p(0)]) ... Y(rows[t-1], cols[p(t-1)]) of the quantum
+    minor, the identity first; each cell's flat index is computed once."""
+    t, n = len(rows), ctx.n
+    flat = [[(i - 1) * n + a - 1 for a in cols] for i in rows]
+    units, zero = _signed_units(t), [0] * (n * n)
     for perm in permutations(range(t)):
-        exp = [0] * nn
-        for k in range(t):
-            exp[ctx.flat(rows[k], cols[perm[k]])] += 1
-        l = _inversions(perm)
-        coeff = RationalFunction.q_power(l)
-        terms[tuple(exp)] = -coeff if l % 2 else coeff
-    return MatrixAlgebraElement(ctx, terms)
+        exp = zero[:]
+        for k, a in enumerate(perm):
+            exp[flat[k][a]] = 1
+        yield tuple(exp), units[sum(starmap(gt, combinations(perm, 2)))]
+
+
+@lru_cache(maxsize=None)
+def _signed_units(t: int) -> tuple[RationalFunction, ...]:
+    """(-q)^l for each inversion count l of a permutation of t letters."""
+    units = [RationalFunction.q_power(l) for l in range(t * (t - 1) // 2 + 1)]
+    return tuple(-u if l % 2 else u for l, u in enumerate(units))
 
 
 def qdet(ctx: AlgebraContext) -> MatrixAlgebraElement:

@@ -31,11 +31,13 @@ By Casteels (Quantum matrices by paths, Algebra & Number Theory 8,
 2014) the image of the quantum minor on rows i_1 < ... < i_t and columns
 a_1 < ... < a_t is the sum, over the systems of vertex-disjoint paths
 i_k -> a_k, of the product of the paths in row order.  ``embed`` takes
-this sum for every input that is a scalar times a minor of size >= 2.
+this sum for every input that is a scalar times a minor of size >= 2,
+told by the terms ``qminor`` is built from (``matrixalg._minor_terms``).
 Every other input is divided by the central det_q first, whose image is
-that sum too, and the remainder is summed from the images of its
-monomials, cached in the table.  The computations read every det_q
-product from one of two functions (the checks form their own):
+that sum too, and the remainder is summed from the images embed(Y^h) of
+its monomials, which ``_monomial_image`` builds and the table keeps; the
+rebase into the algebra divides by them too.  The computations read every
+det_q product from one of two functions (the checks form their own):
 ``_det_multiple``, det_q^k * Y^g from the table's one store of Mq
 products, for the det_q division and the HH^1 residual, and
 ``_det_image``, embed(det_q)^k from the path-system sum the table keeps,
@@ -53,7 +55,7 @@ from .limits import check_terms
 from .matrixalg import (
     MatrixAlgebraElement,
     _central_times_generator,
-    _inversions,
+    _minor_terms,
     b_minor,
     qdet,
     relation_report,
@@ -112,6 +114,9 @@ class StepGeneratorTable:
         return self._top
 
     def step_entries(self, step: StepIndex) -> dict[GeneratorIndex, TorusElement]:
+        """The entries at one step; the top step cuts no level below it."""
+        if step == self.ctx.top_step():
+            return self.top_entries()
         entries = self.entries.get(step)
         if entries is None:
             raise IndexOutOfRangeError(f"step {step} is not in the tower")
@@ -208,10 +213,10 @@ def embed(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
 def _as_minor(ctx: AlgebraContext, x: MatrixAlgebraElement):
     """(rows, cols, c) with x = c * qminor(ctx, rows, cols) and at least
     two rows, else None; the cheapest tests run first.  Once x has t!
-    terms of degree t on the t rows and columns of its first term, a term
-    with one cell per row and per column is the term of a permutation,
-    so the t! of them are all the permutations; each coefficient is then
-    checked in place against c * (-q)^(inversions)."""
+    terms and its first term one cell in each of t rows and t columns,
+    c is its coefficient at the identity term of the minor's
+    ``matrixalg._minor_terms`` and x must hold each of those terms times c,
+    which leaves no room for a term of its own."""
     terms = x.terms
     if not terms:
         return None
@@ -224,30 +229,12 @@ def _as_minor(ctx: AlgebraContext, x: MatrixAlgebraElement):
     cols = sorted({a for _, a in cells})
     if not len(cells) == len(rows) == len(cols) == t:
         return None
-    n = ctx.n
-    starts = [(i - 1) * n for i in rows]
-    col_at = [None] * n
-    for k, a in enumerate(cols):
-        col_at[a - 1] = k
-    coeff = None
-    for exp, c in terms.items():
-        # exponents are natural numbers summing to t, so a 1 in each of
-        # the t rows leaves every other exponent 0
-        if sum(exp) != t:
-            return None
-        try:
-            perm = [col_at[exp.index(1, s, s + n) - s] for s in starts]
-        except ValueError:
-            return None
-        if None in perm or len(set(perm)) != t:
-            return None
-        l = _inversions(perm)
-        c = c.times_q_power(-l)
-        if l % 2:
-            c = -c
-        if coeff is None:
-            coeff = c
-        elif c != coeff:
+    minor = _minor_terms(ctx, rows, cols)
+    coeff = terms.get(next(minor)[0])
+    if coeff is None:
+        return None
+    for exp, unit in minor:
+        if terms.get(exp) != coeff * unit:
             return None
     return rows, cols, coeff
 
@@ -313,23 +300,25 @@ def _path_systems(table: StepGeneratorTable, rows, cols) -> TorusElement:
 def _embed_product(table: StepGeneratorTable, x: MatrixAlgebraElement) -> TorusElement:
     """``embed`` of an input that is not a quantum minor: with
     x = det_q * y + r (``_divide_by_det``), embed(det_q) * embed(y) plus
-    c * image(h) summed over the terms c * Y^h of r.  embed(det_q) comes
-    from ``_det_image``, and each image(h), ``embed_monomial_at_step`` at
-    the top step, is built the first time the table uses it and kept.
-    """
-    ctx = table.ctx
+    c * embed(Y^h) summed over the terms c * Y^h of r, embed(det_q) from
+    ``_det_image`` and embed(Y^h) from ``_monomial_image``."""
     y, r = _divide_by_det(table, x)
-    cache = table._embed_cache
-    result = TorusElement(ctx)
+    result = TorusElement(table.ctx)
     for h, coeff in r.terms.items():
-        img = cache.get(h)
-        if img is None:
-            img = cache[h] = embed_monomial_at_step(table, ctx.top_step(), h)
-        for e, c in img.terms.items():
+        for e, c in _monomial_image(table, h).terms.items():
             add_into(result.terms, e, c * coeff)
     if y:
         result = result + _det_image(table, 1) * _embed_product(table, y)
     return result
+
+
+def _monomial_image(table: StepGeneratorTable, h: ExponentVector) -> TorusElement:
+    """embed(Y^h): ``embed_monomial_at_step`` at the top step, built the
+    first time the table uses it and kept in ``table._embed_cache``."""
+    cache = table._embed_cache
+    if h not in cache:
+        cache[h] = embed_monomial_at_step(table, table.ctx.top_step(), h)
+    return cache[h]
 
 
 def _divide_by_det(
@@ -599,10 +588,10 @@ def rebase_to_matrix_algebra(
     table: StepGeneratorTable, x: TorusElement
 ) -> MatrixAlgebraElement:
     """Express a torus element as an element of the quantum-matrix algebra
-    (top step, natural exponents only)."""
+    (top step, natural exponents only).  The images it divides by are
+    embed(Y^h) from ``_monomial_image``, which ``embed`` sums too: embed
+    is an algebra map, so no det_q division is needed to form them."""
     ctx = table.ctx
     require_operand("rebase_to_matrix_algebra", x, TorusElement, ctx.n)
-    coords = solve_monomial_combination(
-        x, lambda h: embed(table, MatrixAlgebraElement.monomial(ctx, h))
-    )
+    coords = solve_monomial_combination(x, lambda h: _monomial_image(table, h))
     return MatrixAlgebraElement(ctx, coords)

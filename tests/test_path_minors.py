@@ -2,7 +2,10 @@
 
 The top table against the closed form of the path model, and ``embed``'s
 path-system sum against Horner's rule over the PBW order
-(tests/horner_oracle.py), which multiplies top entries only.  The product
+(tests/horner_oracle.py), which multiplies top entries only.  ``qminor``
+and ``embed``'s minor test read one list of minor terms
+(``matrixalg._minor_terms``); both are checked against the permutation
+sum of tests/minor_oracle.py, which shares no code with them.  The product
 path ``tower._embed_product`` is no oracle here: it divides det_q out and
 embeds it by the path-system sum, so embed(det_q) would be checked against
 itself.
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from minor_oracle import minor_terms
 
 import qmat.tower as tower
 from qmat.context import build_context
@@ -24,8 +28,9 @@ from qmat.errors import ResourceLimitError
 from qmat.limits import restored_max_terms, set_max_terms
 from qmat.matrixalg import MatrixAlgebraElement, qdet, qminor
 from qmat.rational import RF_ONE, RationalFunction
+from qmat.suite import _random_matrix_element
 from qmat.torus import TorusElement, delta_exponents
-from qmat.tower import build_table, embed
+from qmat.tower import build_table, embed, rebase_to_step
 
 
 def _load_oracle():
@@ -161,10 +166,33 @@ class TestLazyTable:
         joined.entries
         assert embed(build_table(ctx), qdet(ctx)) == embed(joined, qdet(ctx))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_top_step_cuts_no_level(self, n):
+        """A non-minor embed and a top-step rebase read the top entries
+        alone, and agree with a table whose levels were built first."""
+        ctx = build_context(n)
+        top = ctx.top_step()
+        joined = build_table(ctx)
+        joined.entries
+        rng = random.Random(97 + n)
+        y12 = MatrixAlgebraElement.generator(ctx, (1, 2))
+        inputs = [MatrixAlgebraElement.generator(ctx, (1, 1)), qdet(ctx) * y12]
+        inputs += [_random_matrix_element(ctx, rng, 3, 3) for _ in range(3)]
+        for x in inputs:
+            table = build_table(ctx)
+            image = embed(table, x)
+            assert image == embed(joined, x)
+            box = [(0, max(map(sum, x.terms)))] * (n * n)
+            coords = rebase_to_step(table, top, image, box)
+            assert coords == rebase_to_step(joined, top, image, box) == x.terms
+            assert table.step_entries(top) == joined.entries[top]
+            assert "entries" not in table.__dict__
+
 
 def qminor_as_minor(ctx, x):
-    """The minor check that ``tower._as_minor`` replaced: build qminor on
-    the rows and columns of the first term and compare term by term."""
+    """The minor check that ``tower._as_minor`` replaced: build the minor
+    on the rows and columns of the first term and compare term by term,
+    the minor from tests/minor_oracle.py rather than ``qminor``."""
     terms = x.terms
     if not terms:
         return None
@@ -177,13 +205,30 @@ def qminor_as_minor(ctx, x):
     cols = sorted({a for _, a in cells})
     if not len(cells) == len(rows) == len(cols) == t:
         return None
-    minor = qminor(ctx, rows, cols).terms
+    minor = minor_terms(ctx, rows, cols)
     if minor.keys() != terms.keys():
         return None
     coeff = terms[first] / minor[first]
     if any(terms[h] != coeff * m for h, m in minor.items()):
         return None
     return rows, cols, coeff
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_qminor_is_the_permutation_sum(n):
+    ctx = build_context(n)
+    for t in range(n + 1):
+        for rows in combinations(range(1, n + 1), t):
+            for cols in combinations(range(1, n + 1), t):
+                expected = list(minor_terms(ctx, rows, cols).items())
+                assert list(qminor(ctx, rows, cols).terms.items()) == expected
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_qdet_is_the_permutation_sum(n):
+    ctx = build_context(n)
+    full = tuple(range(1, n + 1))
+    assert list(qdet(ctx).terms.items()) == list(minor_terms(ctx, full, full).items())
 
 
 def _minor_variants(ctx, m, rng):
